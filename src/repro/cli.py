@@ -218,7 +218,7 @@ def _build_table(args: argparse.Namespace) -> PWCETTable:
     pool_workers = args.workers if args.backend == "process" else None
     shard_workers = args.workers if args.backend != "process" else None
     return PWCETTable(
-        config=SystemConfig(),
+        config=scale.system_config(),
         scale=scale,
         seed=args.seed,
         backend=make_backend(

@@ -35,13 +35,13 @@ from repro.errors import SimulationError
 
 #: Execute-stage latency indexed by the integer op kind; ``None`` marks
 #: the memory kinds, whose latency is dynamic.  Built once at import so
-#: the per-instruction step avoids enum construction and dict lookups.
+#: the per-instruction loop avoids enum construction and dict lookups.
 _EXEC_LATENCY_BY_KIND = [
     EXEC_LATENCY.get(OpKind(value)) if not is_memory_op(value) else None
     for value in sorted(int(k) for k in OpKind)
 ]
 
-#: STORE as a plain int so the per-instruction step compares ints, not
+#: STORE as a plain int so the per-instruction loop compares ints, not
 #: enum members.
 _STORE_KIND = int(OpKind.STORE)
 
@@ -90,9 +90,9 @@ class InOrderPipeline:
     def frontier(self) -> int:
         """Earliest cycle at which the *next* instruction can start fetch.
 
-        The multicore scheduler steps the core whose frontier is
-        lowest, which keeps shared-resource requests approximately
-        time-ordered across cores.
+        The multicore scheduler orders cores by this frontier (and by
+        their port's next free cycle), which keeps shared-resource
+        requests approximately time-ordered across cores.
         """
         return self._end_fetch
 
@@ -100,38 +100,32 @@ class InOrderPipeline:
         """Advance the pipeline by one dynamic instruction.
 
         Returns the write-back completion cycle of the instruction.
-
-        This runs once per dynamic instruction — the recurrences use
-        conditional expressions instead of ``max()`` calls and compare
-        the op kind as a plain int (``repro.sim.reference`` keeps the
-        straightforward version for the equivalence tests).
+        The simulator's burst loop
+        (:meth:`repro.sim.simulator.CoreRunner.run_until`) runs the same
+        recurrence on local variables; this method is the plain form
+        the reference scheduler in :mod:`repro.sim.reference` steps.
         """
         # Fetch: the fetch latch frees when the previous instruction
         # enters decode (single-entry latch backpressure).
-        end_fetch = self._end_fetch
-        start_decode_prev = self._start_decode
-        start_fetch = end_fetch if end_fetch >= start_decode_prev else start_decode_prev
-        end_fetch = start_fetch + self._fetch_latency(pc, start_fetch)
-        self._end_fetch = end_fetch
+        start_fetch = max(self._end_fetch, self._start_decode)
+        self._end_fetch = start_fetch + self._fetch_latency(pc, start_fetch)
 
         # Decode: 1 cycle; may not start until the previous instruction
         # vacated the decode latch by entering the memory stage.
-        start_mem_prev = self._start_mem
-        start_decode = end_fetch if end_fetch >= start_mem_prev else start_mem_prev
+        start_decode = max(self._end_fetch, self._start_mem)
         self._start_decode = start_decode
         end_decode = start_decode + 1
 
         # Memory / execute: blocked until the previous instruction
         # entered write-back.
-        start_wb_prev = self._start_wb
-        start_mem = end_decode if end_decode >= start_wb_prev else start_wb_prev
+        start_mem = max(end_decode, self._start_wb)
         self._start_mem = start_mem
         try:
             fixed = _EXEC_LATENCY_BY_KIND[kind]
         except (IndexError, TypeError):
             raise SimulationError(f"unknown op kind {kind!r}") from None
         if fixed is None:
-            latency = self._mem_latency(address, kind == _STORE_KIND, start_mem)
+            latency = self._mem_latency(address, kind == OpKind.STORE, start_mem)
         else:
             latency = fixed
         if latency < 1:
@@ -141,8 +135,7 @@ class InOrderPipeline:
         end_mem = start_mem + latency
 
         # Write-back: 1 cycle, in order.
-        end_wb = self._end_wb
-        start_wb = end_mem if end_mem >= end_wb else end_wb
+        start_wb = max(end_mem, self._end_wb)
         self._start_wb = start_wb
         self._end_wb = start_wb + 1
 

@@ -400,10 +400,13 @@ class ResultStore:
         Eviction order: first every unpinned entry older than
         ``max_age_s``, then least-recently-accessed unpinned entries
         while the store exceeds ``max_bytes`` or ``max_entries``.
-        Pinned and in-flight fingerprints are never evicted — a store
-        whose quota cannot be met without touching them stays over
-        quota (logged by counters, never by exception).  Returns the
-        evicted fingerprints.
+        Pinned and in-flight fingerprints are never evicted, so while
+        claims are in flight the store may sit over quota for a moment.
+        Each claim re-runs GC once it is released (see ``_persist``),
+        so a quiescent store without pins is within its quota.  An
+        explicit :meth:`pin` can hold the store over quota until the
+        first GC after its :meth:`unpin`.  Returns the evicted
+        fingerprints.
         """
         if self.quota is None or not self.quota.bounded:
             return []
@@ -614,8 +617,15 @@ class ResultStore:
                     )
         finally:
             with self._lock:
-                if self._inflight.get(job.fingerprint) is job:
+                released = self._inflight.get(job.fingerprint) is job
+                if released:
                     del self._inflight[job.fingerprint]
+            if released and self.quota is not None and self.quota.bounded:
+                # The claim protected this entry (and blocked the GC of
+                # concurrent persists); with it gone, a GC that starts
+                # after the last claim clears sees every entry and no
+                # stale protection, so the quiescent store is in quota.
+                self.gc(metrics=queue.telemetry.metrics)
 
     def submit(
         self, job: CampaignJob, queue: Optional[JobQueue] = None, **queue_opts

@@ -123,9 +123,11 @@ class MemoryPath:
             efl.inject_interference(arrival)
 
         lookup_done = arrival + self._llc_hit_latency
-        llc_view = self._llc_view
-        if llc_view.probe(core, line):
-            llc_view.access(core, line, write=write)
+        # One access serves the lookup and, on a miss, the fill: nothing
+        # between the lookup and the fill (EAB grant, memory read)
+        # touches the LLC or its replacement PRNG.
+        result = self._llc_view.access(core, line, write=write)
+        if result.hit:
             self.llc_hits += 1
             return lookup_done
 
@@ -137,7 +139,6 @@ class MemoryPath:
         else:
             grant = lookup_done
         done = self._memory_read_done(core, grant)
-        result = llc_view.access(core, line, write=write)
         if result.eviction is not None and result.eviction.dirty:
             self._post_memory_write(core, done)
         return done
@@ -162,9 +163,8 @@ class MemoryPath:
             t1 = t2
 
         lookup_done = arrival + self._llc_hit_latency
-        llc_view = self._llc_view
-        if llc_view.probe(core, line):
-            llc_view.access(core, line, write=write)
+        result = self._llc_view.access(core, line, write=write)
+        if result.hit:
             self.llc_hits += 1
             prof.account("llc", self._llc_hit_latency, perf_counter() - t1)
             return lookup_done
@@ -182,7 +182,6 @@ class MemoryPath:
             grant = lookup_done
         t1 = perf_counter()
         done = self._memory_read_done(core, grant)
-        result = llc_view.access(core, line, write=write)
         if result.eviction is not None and result.eviction.dirty:
             self._post_memory_write(core, done)
         prof.account("memctrl", done - grant, perf_counter() - t1)

@@ -1,15 +1,19 @@
 """The unoptimised reference hot path, kept runnable for comparison.
 
 The per-instruction simulation core (``Cache.access``, placement
-hashing, the EoM victim draw, ``InOrderPipeline.step``) carries
-optimisations — a per-(RII, line) set-index memo, precomputed candidate
-way tuples, an inlined victim draw, branch-free pipeline recurrences —
-that must be *invisible in the data*: every optimisation is required to
-produce bit-identical execution times.
+hashing, the EoM victim draw, the LLC lookup of ``MemoryPath.fill``,
+the core scheduler) carries optimisations — a per-(RII, line)
+set-index memo, precomputed candidate way tuples, an inlined victim
+draw, one LLC lookup per fill, burst scheduling with the pipeline
+recurrence and the L1 hits inlined — that must be *invisible in the
+data*: every optimisation is required to produce bit-identical
+execution times.
 
 This module preserves the pre-optimisation implementations verbatim and
 exposes :func:`reference_hot_path`, a context manager that swaps them
-back in.  Two consumers rely on it:
+back in.  Its scheduler steps every core one instruction at a time
+through the plain :meth:`~repro.cpu.pipeline.InOrderPipeline.step`,
+which the burst loop never calls.  Two consumers rely on it:
 
 * ``tests/test_hotpath.py`` proves optimised and reference paths
   produce bit-identical :class:`~repro.sim.simulator.RunResult`s
@@ -25,13 +29,15 @@ inherit its speedups and make the measured ratio meaningless.
 
 from __future__ import annotations
 
+import heapq
 from contextlib import contextmanager
 
-from repro.cpu.isa import OpKind
-from repro.cpu.pipeline import _EXEC_LATENCY_BY_KIND, InOrderPipeline
 from repro.errors import SimulationError
 from repro.mem.cache import AccessResult, Cache, Eviction
 from repro.mem.placement import RandomPlacement
+from repro.sim import simulator
+from repro.sim.memorypath import MemoryPath
+from repro.sim.simulator import CoreRunner, raise_cycle_budget_exceeded
 
 
 def _reference_set_index(self, line_addr: int) -> int:
@@ -99,48 +105,104 @@ def _reference_force_eviction(self, set_index, ways=None):
     return eviction if eviction is not None else Eviction(line=None, dirty=False)
 
 
-def _reference_step(self, pc, kind, address):
-    """Pre-optimisation ``InOrderPipeline.step``: ``max()`` builtins and
-    enum comparison on the retire path."""
-    start_fetch = max(self._end_fetch, self._start_decode)
-    self._end_fetch = start_fetch + self._fetch_latency(pc, start_fetch)
+def _reference_fill(self, core, line, time, write=False):
+    """Pre-optimisation ``MemoryPath.fill``: an LLC probe, then a
+    second lookup through ``access`` for the hit or the fill."""
+    if time < 0:
+        raise SimulationError(f"fill at negative time {time}")
+    if self._profiler is not None:
+        return self._fill_profiled(core, line, time, write)
+    arrival = self._bus_done(core, time)
+    efl = self._efl
+    if efl is not None:
+        efl.inject_interference(arrival)
 
-    start_decode = max(self._end_fetch, self._start_mem)
-    self._start_decode = start_decode
-    end_decode = start_decode + 1
+    lookup_done = arrival + self._llc_hit_latency
+    llc_view = self._llc_view
+    if llc_view.probe(core, line):
+        llc_view.access(core, line, write=write)
+        self.llc_hits += 1
+        return lookup_done
 
-    start_mem = max(end_decode, self._start_wb)
-    self._start_mem = start_mem
-    try:
-        fixed = _EXEC_LATENCY_BY_KIND[kind]
-    except (IndexError, TypeError):
-        raise SimulationError(f"unknown op kind {kind!r}") from None
-    if fixed is None:
-        latency = self._mem_latency(address, kind == OpKind.STORE, start_mem)
+    self.llc_misses += 1
+    if efl is not None:
+        grant = efl.grant_eviction(core, lookup_done)
+        efl.record_eviction(core, grant)
     else:
-        latency = fixed
-    if latency < 1:
+        grant = lookup_done
+    done = self._memory_read_done(core, grant)
+    result = llc_view.access(core, line, write=write)
+    if result.eviction is not None and result.eviction.dirty:
+        self._post_memory_write(core, done)
+    return done
+
+
+def _reference_core_step(runner):
+    """Pre-burst ``CoreRunner.step``: execute one dynamic instruction."""
+    if runner.finished:
         raise SimulationError(
-            f"stage latency must be >= 1 cycle, callback returned {latency}"
+            f"core {runner.core_id} stepped past the end of {runner.trace.name!r}"
         )
-    end_mem = start_mem + latency
-
-    start_wb = max(end_mem, self._end_wb)
-    self._start_wb = start_wb
-    self._end_wb = start_wb + 1
-
-    self.instructions += 1
-    return self._end_wb
+    pc, kind, address = next(runner._iter)
+    runner.pipeline.step(pc, kind, address)
+    runner._remaining -= 1
 
 
-#: (class, attribute, reference implementation) for every hot-path
-#: function the optimisation pass touched.
+def _reference_run_to_completion(self, cycle_budget=None):
+    """Pre-burst ``CoreRunner.run_to_completion``: one
+    ``InOrderPipeline.step`` call per instruction."""
+    pipeline_step = self.pipeline.step
+    if cycle_budget is None:
+        for pc, kind, address in self._iter:
+            pipeline_step(pc, kind, address)
+        self._remaining = 0
+        return
+    pipeline = self.pipeline
+    for pc, kind, address in self._iter:
+        pipeline_step(pc, kind, address)
+        self._remaining -= 1
+        if pipeline.time > cycle_budget:
+            raise_cycle_budget_exceeded(
+                self.trace.name, self.core_id, pipeline.time,
+                pipeline.instructions, cycle_budget,
+            )
+    self._remaining = 0
+
+
+def _reference_run_cores(runners, cycle_budget):
+    """Pre-burst co-run scheduler: pop the core with the smallest
+    ``(schedule_key, core_id)``, step it one instruction, push it back."""
+    heap = [(runner.schedule_key, runner.core_id, runner) for runner in runners]
+    heapq.heapify(heap)
+    if cycle_budget is None:
+        while heap:
+            _key, _core, runner = heapq.heappop(heap)
+            _reference_core_step(runner)
+            if not runner.finished:
+                heapq.heappush(heap, (runner.schedule_key, runner.core_id, runner))
+    else:
+        while heap:
+            _key, _core, runner = heapq.heappop(heap)
+            _reference_core_step(runner)
+            if runner.pipeline.time > cycle_budget:
+                raise_cycle_budget_exceeded(
+                    runner.trace.name, runner.core_id, runner.pipeline.time,
+                    runner.pipeline.instructions, cycle_budget,
+                )
+            if not runner.finished:
+                heapq.heappush(heap, (runner.schedule_key, runner.core_id, runner))
+
+
+#: (owner, attribute, reference implementation) for every hot-path
+#: function the optimisation passes touched.
 _REFERENCE_PATCHES = (
     (RandomPlacement, "set_index", _reference_set_index),
     (Cache, "probe", _reference_probe),
     (Cache, "access", _reference_access),
     (Cache, "force_eviction", _reference_force_eviction),
-    (InOrderPipeline, "step", _reference_step),
+    (MemoryPath, "fill", _reference_fill),
+    (CoreRunner, "run_to_completion", _reference_run_to_completion),
+    (simulator, "_run_cores", _reference_run_cores),
 )
 
 
@@ -154,12 +216,12 @@ def reference_hot_path():
     implementations on exit, even on error.
     """
     saved = [
-        (cls, name, cls.__dict__[name]) for cls, name, _impl in _REFERENCE_PATCHES
+        (owner, name, owner.__dict__[name]) for owner, name, _impl in _REFERENCE_PATCHES
     ]
     try:
-        for cls, name, impl in _REFERENCE_PATCHES:
-            setattr(cls, name, impl)
+        for owner, name, impl in _REFERENCE_PATCHES:
+            setattr(owner, name, impl)
         yield
     finally:
-        for cls, name, impl in saved:
-            setattr(cls, name, impl)
+        for owner, name, impl in saved:
+            setattr(owner, name, impl)

@@ -12,11 +12,15 @@ bus/memory interference is charged its composable upper bound.
 contention.
 
 Cross-core event ordering in deployment mode is kept approximately
-time-ordered by always stepping the core whose next fetch would start
-earliest; reordering is bounded by one instruction's latency.  The
-analysis engine has no such approximation (a single active core; CRG
-evictions are replayed in exact time order), so the trust-critical
-side of the paper — analysis-time bounds — is modelled exactly.
+time-ordered by advancing cores in ``(schedule_key, core_id)`` order
+(see :attr:`CoreRunner.schedule_key`); reordering is bounded by one
+instruction's latency.  The scheduler runs the minimum core in a burst
+until its ``(key, core_id)`` passes the next core's.  That is exactly
+the per-instruction order: another core's key changes only when that
+core steps, and keys never decrease.  The analysis engine has no
+ordering approximation (a single active core; CRG evictions are
+replayed in exact time order), so the trust-critical side of the
+paper — analysis-time bounds — is modelled exactly.
 """
 
 from __future__ import annotations
@@ -27,14 +31,18 @@ from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import OperationMode
-from repro.cpu.pipeline import InOrderPipeline
+from repro.cpu.pipeline import _EXEC_LATENCY_BY_KIND, _STORE_KIND, InOrderPipeline
 from repro.cpu.trace import Trace
 from repro.errors import ConfigurationError, RunTimeoutError, SimulationError
 from repro.mem.cache import Cache
+from repro.mem.placement import RandomPlacement
 from repro.sim.config import Scenario, SystemConfig
 from repro.sim.memorypath import MemoryPath
 from repro.sim.platform import Platform, build_platform
 from repro.sim.profiler import HotPathProfiler, ProfileSnapshot
+
+#: An unreachable schedule key or cycle budget: run to the trace's end.
+_NO_LIMIT = float("inf")
 
 
 @dataclass
@@ -119,11 +127,12 @@ class CoreRunner:
         self.pipeline = InOrderPipeline(self._fetch_latency, self._mem_latency)
         self._iter = iter(trace)
         self._remaining = len(trace)
-        # Hot-line shortcuts, sound for stateless (EoM) replacement
-        # only: a resident line stays resident until the next fill of
-        # the same cache, and hits mutate nothing — so re-probing the
-        # line we just touched is pure overhead.  LRU caches must take
-        # the full path because their hits update recency state.
+        # Hot-line shortcuts of the burst loop (:meth:`run_until`),
+        # sound for stateless (EoM) replacement only: a resident line
+        # stays resident until the next fill of the same cache, and hits
+        # mutate nothing — so re-probing the line we just touched is
+        # pure overhead.  LRU caches must take the full path because
+        # their hits update recency state.
         self._shortcut_il1 = il1._stateless_repl
         self._shortcut_dl1 = dl1._stateless_repl and config.dl1_write_back
         self._last_iline = -1
@@ -144,14 +153,6 @@ class CoreRunner:
     def _fetch_latency(self, pc: int, time: int) -> int:
         line = pc >> self._line_shift
         prof = self._profiler
-        if line == self._last_iline:
-            # Sequential fetches within one line: resident by
-            # construction (EoM hits mutate nothing, and only this
-            # core's IL1 fills could evict it, which reset the latch).
-            self._fast_ihits += 1
-            if prof is not None:
-                prof.account("l1", self._l1_hit)
-            return self._l1_hit
         if prof is None:
             result = self.il1.access(line)
         else:
@@ -159,8 +160,6 @@ class CoreRunner:
             result = self.il1.access(line)
             wall = perf_counter() - t0
         if result.hit:
-            if self._shortcut_il1:
-                self._last_iline = line
             if prof is not None:
                 prof.account("l1", self._l1_hit, wall)
             return self._l1_hit
@@ -168,8 +167,6 @@ class CoreRunner:
             # The lookup that missed: its wall time belongs to the L1
             # model, the miss cycles to the memory-path legs below.
             prof.account("l1", 0, wall)
-        if self._shortcut_il1:
-            self._last_iline = line  # just filled, now resident
         # Instruction lines are never dirty; the victim (if any) is
         # silently dropped.
         issue = time if time >= self._port_free else self._port_free
@@ -180,11 +177,6 @@ class CoreRunner:
     def _mem_latency(self, address: int, is_store: bool, time: int) -> int:
         line = address >> self._line_shift
         prof = self._profiler
-        if not is_store and line == self._last_dline:
-            self._fast_dhits += 1
-            if prof is not None:
-                prof.account("l1", self._l1_hit)
-            return self._l1_hit
         if is_store and not self._wb_dl1:
             # Write-through DL1 (A2 ablation): update the DL1 copy if
             # present (no allocation on miss), write through to the LLC.
@@ -201,15 +193,11 @@ class CoreRunner:
             result = self.dl1.access(line, write=is_store)
             wall = perf_counter() - t0
         if result.hit:
-            if self._shortcut_dl1:
-                self._last_dline = line
             if prof is not None:
                 prof.account("l1", self._l1_hit, wall)
             return self._l1_hit
         if prof is not None:
             prof.account("l1", 0, wall)
-        if self._shortcut_dl1:
-            self._last_dline = line  # just filled, now resident
         issue = time if time >= self._port_free else self._port_free
         done = self.path.fill(self.core_id, line, issue)
         self._port_free = done
@@ -226,15 +214,10 @@ class CoreRunner:
         return self._remaining == 0
 
     @property
-    def frontier(self) -> int:
-        """Earliest cycle the next instruction could start fetching."""
-        return self.pipeline.frontier
-
-    @property
     def schedule_key(self) -> int:
         """Lower bound on this core's next shared-resource access time.
 
-        The multicore scheduler steps the core with the lowest key.
+        The multicore scheduler runs the core with the lowest key.
         The fetch frontier alone is not enough: while a long miss is in
         flight the fetch of the next instruction has already happened,
         but the core's next bus/LLC/memory request cannot issue before
@@ -245,42 +228,119 @@ class CoreRunner:
         frontier = self.pipeline.frontier
         return frontier if frontier >= self._port_free else self._port_free
 
-    def step(self) -> None:
-        """Execute one dynamic instruction."""
-        if self.finished:
-            raise SimulationError(
-                f"core {self.core_id} stepped past the end of {self.trace.name!r}"
-            )
-        pc, kind, address = next(self._iter)
-        self.pipeline.step(pc, kind, address)
-        self._remaining -= 1
+    def run_until(self, limit: float, cycle_budget: float = _NO_LIMIT) -> int:
+        """Run at least one instruction, until :attr:`schedule_key`
+        reaches ``limit`` or the trace retires; return the new key.
+
+        The :meth:`InOrderPipeline.step` recurrence runs on locals, and
+        so do the L1 hits of stateless (EoM) random-placement caches:
+        the ``_tags`` lookup, ``stats.hits`` and the store's dirty bit
+        of :meth:`Cache.access`.  Misses, write-through stores, LRU or
+        modulo L1s and profiled runs take the latency callbacks.  A
+        clock past ``cycle_budget`` raises a deterministic (never
+        retried) :class:`~repro.errors.RunTimeoutError`.
+        """
+        pipeline = self.pipeline
+        end_fetch, start_decode = pipeline._end_fetch, pipeline._start_decode
+        start_mem, start_wb = pipeline._start_mem, pipeline._start_wb
+        end_wb, instructions = pipeline._end_wb, pipeline.instructions
+        port_free = self._port_free
+        fetch_latency, mem_latency = self._fetch_latency, self._mem_latency
+        exec_latency = _EXEC_LATENCY_BY_KIND
+        shift, l1_hit = self._line_shift, self._l1_hit
+        plain = self._profiler is None
+        # Inline hit paths; ``None`` routes every access to a callback.
+        imemo = dmemo = None
+        il1, dl1 = self.il1, self.dl1
+        if plain and self._shortcut_il1 and type(il1.placement) is RandomPlacement:
+            imemo, itags = il1.placement._memo, il1._tags
+        if plain and self._shortcut_dl1 and dl1.write_back \
+                and type(dl1.placement) is RandomPlacement:
+            dmemo, dtags, ddirty = dl1.placement._memo, dl1._tags, dl1._dirty
+        last_iline = self._last_iline if imemo is not None else -1
+        last_dline = self._last_dline if dmemo is not None else -1
+        fast_ihits = fast_dhits = ihits = dhits = 0
+        key = end_fetch if end_fetch >= port_free else port_free
+        try:
+            for pc, kind, address in self._iter:
+                # Fetch: the latch frees when the previous instruction
+                # enters decode.
+                start_fetch = end_fetch if end_fetch >= start_decode else start_decode
+                line = pc >> shift
+                if line == last_iline:
+                    fast_ihits += 1
+                    end_fetch = start_fetch + l1_hit
+                elif imemo is not None and (index := imemo.get(line)) is not None \
+                        and line in itags[index]:
+                    ihits += 1
+                    last_iline = line
+                    end_fetch = start_fetch + l1_hit
+                else:
+                    end_fetch = start_fetch + fetch_latency(pc, start_fetch)
+                    port_free = self._port_free
+                    if imemo is not None:
+                        last_iline = line  # just filled, now resident
+                # Decode (1 cycle), then memory/execute once the
+                # previous instruction entered write-back.
+                start_decode = end_fetch if end_fetch >= start_mem else start_mem
+                end_decode = start_decode + 1
+                start_mem = end_decode if end_decode >= start_wb else start_wb
+                try:
+                    latency = exec_latency[kind]
+                except (IndexError, TypeError):
+                    raise SimulationError(f"unknown op kind {kind!r}") from None
+                if latency is None:
+                    line = address >> shift
+                    is_store = kind == _STORE_KIND
+                    if not is_store and line == last_dline:
+                        fast_dhits += 1
+                        latency = l1_hit
+                    elif dmemo is not None and (index := dmemo.get(line)) is not None \
+                            and line in (tags := dtags[index]):
+                        dhits += 1
+                        if is_store:
+                            ddirty[index][tags.index(line)] = True
+                        last_dline = line
+                        latency = l1_hit
+                    else:
+                        latency = mem_latency(address, is_store, start_mem)
+                        port_free = self._port_free
+                        if dmemo is not None:
+                            last_dline = line  # just filled, now resident
+                if latency < 1:
+                    raise SimulationError(
+                        f"stage latency must be >= 1 cycle, callback returned {latency}"
+                    )
+                end_mem = start_mem + latency
+                start_wb = end_mem if end_mem >= end_wb else end_wb
+                end_wb = start_wb + 1
+                instructions += 1
+                if end_wb > cycle_budget:
+                    raise_cycle_budget_exceeded(
+                        self.trace.name, self.core_id, end_wb, instructions,
+                        cycle_budget,
+                    )
+                key = end_fetch if end_fetch >= port_free else port_free
+                if key >= limit:
+                    break
+        finally:
+            pipeline._end_fetch, pipeline._start_decode = end_fetch, start_decode
+            pipeline._start_mem, pipeline._start_wb = start_mem, start_wb
+            pipeline._end_wb, pipeline.instructions = end_wb, instructions
+            self._remaining = len(self.trace) - instructions
+            self._fast_ihits += fast_ihits
+            self._fast_dhits += fast_dhits
+            il1.stats.hits += ihits
+            dl1.stats.hits += dhits
+            if imemo is not None:
+                self._last_iline = last_iline
+            if dmemo is not None:
+                self._last_dline = last_dline
+        return key
 
     def run_to_completion(self, cycle_budget: Optional[int] = None) -> None:
-        """Execute the remaining trace without interleaving.
-
-        ``cycle_budget`` arms the livelock watchdog: if the simulated
-        clock exceeds the budget the run is aborted with a
-        *deterministic* :class:`~repro.errors.RunTimeoutError` (the
-        same seed livelocks identically on every attempt, so backends
-        must not retry it).  The guard runs on a separate loop so the
-        unguarded hot path pays nothing for it.
-        """
-        pipeline_step = self.pipeline.step
-        if cycle_budget is None:
-            for pc, kind, address in self._iter:
-                pipeline_step(pc, kind, address)
-            self._remaining = 0
-            return
-        pipeline = self.pipeline
-        for pc, kind, address in self._iter:
-            pipeline_step(pc, kind, address)
-            self._remaining -= 1
-            if pipeline.time > cycle_budget:
-                raise_cycle_budget_exceeded(
-                    self.trace.name, self.core_id, pipeline.time,
-                    pipeline.instructions, cycle_budget,
-                )
-        self._remaining = 0
+        """Execute the remaining trace without interleaving."""
+        self.run_until(_NO_LIMIT, _NO_LIMIT if cycle_budget is None else cycle_budget)
 
     def result(self, platform: Platform) -> CoreResult:
         """Snapshot this core's outcome."""
@@ -309,6 +369,27 @@ def raise_cycle_budget_exceeded(
         f"instructions (deterministic for this seed; not retried)",
         transient=False,
     )
+
+
+def _run_cores(runners: Sequence[CoreRunner], cycle_budget: Optional[int]) -> None:
+    """Co-run ``runners`` in ``(schedule_key, core_id)`` order: the
+    minimum core runs until its key passes the top of the heap's."""
+    budget = _NO_LIMIT if cycle_budget is None else cycle_budget
+    heap: List[Tuple[int, int, CoreRunner]] = [
+        (runner.schedule_key, runner.core_id, runner) for runner in runners
+    ]
+    heapq.heapify(heap)
+    while heap:
+        _key, core, runner = heapq.heappop(heap)
+        if heap:
+            next_key, next_core, _next = heap[0]
+            # Tie on the key: the lower core id keeps running.
+            limit = next_key + 1 if core < next_core else next_key
+        else:
+            limit = _NO_LIMIT
+        key = runner.run_until(limit, budget)
+        if not runner.finished:
+            heapq.heappush(heap, (key, core, runner))
 
 
 def _finalise(
@@ -392,33 +473,7 @@ def run_workload(
                    profiler=profiler)
         for i, trace in enumerate(traces)
     ]
-    # Step the core whose next shared-resource access can happen
-    # earliest, keeping cross-core requests near time-order.  A heap
-    # keyed on (schedule_key, core_id) replaces the former
-    # min()-over-list scan: only the stepped runner's key changes, so
-    # every stored key is current, and the core-id tie-break reproduces
-    # the list scan's first-minimum (lowest core id) choice exactly.
-    heap: List[Tuple[int, int, CoreRunner]] = [
-        (runner.schedule_key, runner.core_id, runner) for runner in runners
-    ]
-    heapq.heapify(heap)
-    if cycle_budget is None:
-        while heap:
-            _key, _core, runner = heapq.heappop(heap)
-            runner.step()
-            if not runner.finished:
-                heapq.heappush(heap, (runner.schedule_key, runner.core_id, runner))
-    else:
-        while heap:
-            _key, _core, runner = heapq.heappop(heap)
-            runner.step()
-            if runner.pipeline.time > cycle_budget:
-                raise_cycle_budget_exceeded(
-                    runner.trace.name, runner.core_id, runner.pipeline.time,
-                    runner.pipeline.instructions, cycle_budget,
-                )
-            if not runner.finished:
-                heapq.heappush(heap, (runner.schedule_key, runner.core_id, runner))
+    _run_cores(runners, cycle_budget)
     return _finalise(
         platform, path, [runner.result(platform) for runner in runners], profiler
     )

@@ -140,7 +140,11 @@ class ExperimentScale:
 
     @classmethod
     def quick(cls) -> "ExperimentScale":
-        """Example/demo scale (1/8 platform): a few minutes end to end."""
+        """Example/demo scale (1/8 platform).
+
+        Figure 3 takes about 17 s (perfbench ``fig3-quick`` on a 2-CPU
+        x86 host, Python 3.11).
+        """
         return cls("quick", platform_factor=0.125, trace_scale=0.125,
                    l1_size=512, llc_size=8192, mid_options=PAPER_MIDS,
                    analysis_runs=80, workload_count=24, deployment_reps=1,
@@ -148,7 +152,13 @@ class ExperimentScale:
 
     @classmethod
     def default(cls) -> "ExperimentScale":
-        """Benchmark-harness scale (1/4 platform): tens of minutes."""
+        """Benchmark-harness scale (1/4 platform).
+
+        On a 2-CPU x86 host (Python 3.11), perfbench measures about
+        10 s for the E1 table (``iid-default``) and about 10 s for
+        Figure 4's 128 deployment co-runs once its campaigns are
+        journalled (``fig4-deploy-default``).
+        """
         return cls("default", platform_factor=0.25, trace_scale=0.25,
                    l1_size=1024, llc_size=16384, mid_options=PAPER_MIDS,
                    analysis_runs=240, workload_count=64, deployment_reps=1,
@@ -156,7 +166,13 @@ class ExperimentScale:
 
     @classmethod
     def paper(cls) -> "ExperimentScale":
-        """The paper's platform and campaign sizes: days in pure Python."""
+        """The paper's platform and campaign sizes.
+
+        Not benchmarked.  Traces are 4x longer and campaigns have
+        about 4x the runs of ``default``, and Figure 4 co-runs 48x as
+        many workload repetitions; extrapolating the ``default`` times
+        gives roughly 10 minutes for Figure 3 and 45 for Figure 4.
+        """
         return cls("paper", platform_factor=1.0, trace_scale=1.0,
                    l1_size=4096, llc_size=65536, mid_options=PAPER_MIDS,
                    analysis_runs=1000, workload_count=1024, deployment_reps=3,

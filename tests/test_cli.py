@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main, make_parser
+from repro.cli import _build_table, main, make_parser
+from repro.workloads.scale import ExperimentScale
 
 
 class TestParser:
@@ -71,6 +72,14 @@ class TestParser:
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError, match="--checkpoint-dir"):
             main(["--resume", "fig3"])
+
+
+class TestScaledPlatform:
+    @pytest.mark.parametrize("scale", ["quick", "default"])
+    def test_table_simulates_the_scale_platform(self, scale):
+        args = make_parser().parse_args(["--scale", scale, "iid"])
+        table = _build_table(args)
+        assert table.config == ExperimentScale.from_name(scale).system_config()
 
 
 class TestExecution:

@@ -9,6 +9,10 @@ every scenario class the simulator supports must produce bit-identical
   (:mod:`repro.sim.reference`), and
 * the optimised path with profiling enabled (``profile=True``).
 
+Deployment co-runs get their own scenario classes: the burst
+scheduler must reproduce the per-instruction heap scheduler of the
+reference path, core-id tie-breaks included.
+
 Also sanity-checks the profiler's attribution against independently
 tracked counters (EFL stall cycles) and its behaviour across the
 process backend.
@@ -17,16 +21,24 @@ process backend.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import OperationMode
+from repro.cpu.isa import OpKind
+from repro.cpu.pipeline import InOrderPipeline
+from repro.cpu.trace import Trace
+from repro.errors import RunTimeoutError
 from repro.sim.backend import ProcessPoolBackend, ProfilingObserver, SerialBackend
 from repro.sim.config import Scenario, SystemConfig
 from repro.sim.profiler import COMPONENTS, HotPathProfiler, ProfileSnapshot
 from repro.sim.reference import reference_hot_path
-from repro.sim.simulator import RunRequest, execute_request
+from repro.sim.simulator import RunRequest, execute_request, run_workload
+from repro.workloads.scale import ExperimentScale
 from repro.workloads.suite import build_benchmark
 
 SEED = 20140601
+DEPLOYMENT = OperationMode.DEPLOYMENT
 
 
 def _core_timings(result):
@@ -76,6 +88,52 @@ def _requests():
     }
 
 
+def _corun_requests():
+    """One deployment co-run per scheduler/inline-path class."""
+    config = ExperimentScale.quick().system_config()
+    traces = tuple(
+        build_benchmark(bench, scale=0.125) for bench in ("ID", "MA", "CN", "RS")
+    )
+    unequal = (
+        build_benchmark("MA", scale=0.25),
+        build_benchmark("ID", scale=0.0625),
+        build_benchmark("RS", scale=0.125),
+        build_benchmark("CN", scale=0.0625),
+    )
+    return {
+        # Uneven ways: the cores' partitions differ in size.
+        "cp-uneven-ways": RunRequest.workload(
+            traces, config,
+            Scenario.cache_partitioning((4, 2, 1, 1), mode=DEPLOYMENT), SEED,
+        ),
+        # Unequal trace lengths: cores retire and the heap shrinks.
+        "efl-unequal-lengths": RunRequest.workload(
+            unequal, config, Scenario.efl(250, mode=DEPLOYMENT), SEED,
+        ),
+        # LRU + modulo L1s: no inline hit path at all.
+        "td-lru-modulo": RunRequest.workload(
+            traces,
+            ExperimentScale.quick().system_config(
+                placement="modulo", replacement="lru"
+            ),
+            Scenario.uncontrolled(DEPLOYMENT), SEED,
+        ),
+        # Write-through DL1: stores take store_through inside co-runs.
+        "write-through": RunRequest.workload(
+            traces,
+            ExperimentScale.quick().system_config(dl1_write_back=False),
+            Scenario.efl(500, mode=DEPLOYMENT), SEED,
+        ),
+    }
+
+
+def _assert_corun_equal(a, b):
+    # Whole per-core results: cycles, instructions, L1 accesses and
+    # misses (inline hits included), EFL stalls and evictions.
+    assert a.cores == b.cores
+    _run_results_equal(a, b)
+
+
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("label", sorted(_requests()))
     def test_reference_path_is_bit_identical(self, label):
@@ -84,6 +142,104 @@ class TestReferenceEquivalence:
         with reference_hot_path():
             reference = execute_request(request)
         _run_results_equal(optimised, reference)
+
+    @pytest.mark.parametrize("label", sorted(_corun_requests()))
+    def test_burst_scheduler_matches_per_instruction_reference(self, label):
+        request = _corun_requests()[label]
+        optimised = execute_request(request)
+        with reference_hot_path():
+            reference = execute_request(request)
+        _assert_corun_equal(optimised, reference)
+
+    def test_cycle_budget_trips_at_the_same_instruction(self):
+        request = _corun_requests()["cp-uneven-ways"]
+        budget = execute_request(request).cycles // 3
+        budgeted = RunRequest.workload(
+            request.traces, request.config, request.scenario, request.seed,
+            cycle_budget=budget,
+        )
+        with pytest.raises(RunTimeoutError) as optimised:
+            execute_request(budgeted)
+        with reference_hot_path():
+            with pytest.raises(RunTimeoutError) as reference:
+                execute_request(budgeted)
+        assert str(optimised.value) == str(reference.value)
+        assert f"> {budget} simulated cycles" in str(optimised.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 15),  # pc slot: few lines, many hits
+                    st.sampled_from([int(kind) for kind in OpKind]),
+                    st.integers(0, 31),  # data word: few lines
+                ),
+                min_size=1, max_size=40,
+            ),
+            min_size=1, max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_burst_order_on_tied_synthetic_traces(self, programs, share):
+        # Tiny, often identical traces keep the cores' schedule keys
+        # tied, so the core-id tie-break decides the order.
+        traces = []
+        for core, program in enumerate(programs):
+            if share:
+                program = programs[0]
+            kinds = [kind for _pc, kind, _word in program]
+            traces.append(Trace(
+                f"synthetic{core}",
+                [0x1000 + 4 * pc for pc, _kind, _word in program],
+                kinds,
+                [0x8000 + 4 * word if kind in (OpKind.LOAD, OpKind.STORE)
+                 else None
+                 for (_pc, kind, word) in program],
+            ))
+        config = SystemConfig(l1_size=256, llc_size=1024)
+        scenario = Scenario.efl(250, mode=DEPLOYMENT)
+        optimised = run_workload(traces, config, scenario, SEED)
+        with reference_hot_path():
+            reference = run_workload(traces, config, scenario, SEED)
+        _assert_corun_equal(optimised, reference)
+
+    def test_reference_context_steps_every_instruction(self):
+        # The shipped path never calls InOrderPipeline.step; inside the
+        # reference context the per-instruction scheduler and isolation
+        # loop put every instruction through it exactly once.
+        requests = (
+            _corun_requests()["efl-unequal-lengths"],
+            _requests()["efl-analysis"],
+        )
+        shipped = InOrderPipeline.step
+        calls = []
+
+        def counting(step):
+            def wrapper(self, pc, kind, address):
+                calls.append(kind)
+                return step(self, pc, kind, address)
+            return wrapper
+
+        InOrderPipeline.step = counting(shipped)
+        try:
+            for request in requests:
+                execute_request(request)
+        finally:
+            InOrderPipeline.step = shipped
+        assert calls == []
+
+        with reference_hot_path():
+            InOrderPipeline.step = counting(shipped)
+            try:
+                for request in requests:
+                    result = execute_request(request)
+                    assert len(calls) == sum(
+                        core.instructions for core in result.cores
+                    )
+                    calls.clear()
+            finally:
+                InOrderPipeline.step = shipped
 
     def test_reference_context_restores_implementations(self):
         from repro.mem.cache import Cache
