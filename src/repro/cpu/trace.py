@@ -22,6 +22,10 @@ from typing import Iterator, List, Optional, Tuple
 from repro.cpu.isa import INSTRUCTION_BYTES, OpKind, is_memory_op
 from repro.errors import TraceError
 
+#: The kinds :func:`~repro.cpu.isa.is_memory_op` accepts, as a set so
+#: trace validation costs one membership test per instruction.
+_MEMORY_KINDS = frozenset(kind for kind in OpKind if is_memory_op(kind))
+
 
 class Trace:
     """An immutable dynamic instruction stream.
@@ -48,9 +52,10 @@ class Trace:
         if not pcs:
             raise TraceError(f"trace {name!r} is empty")
         for i, (kind, addr) in enumerate(zip(kinds, addresses)):
-            if is_memory_op(kind) and addr is None:
-                raise TraceError(f"trace {name!r}: memory op at {i} has no address")
-            if not is_memory_op(kind) and addr is not None:
+            if kind in _MEMORY_KINDS:
+                if addr is None:
+                    raise TraceError(f"trace {name!r}: memory op at {i} has no address")
+            elif addr is not None:
                 raise TraceError(f"trace {name!r}: non-memory op at {i} has address")
         self.name = name
         self.pcs = pcs

@@ -21,7 +21,8 @@ eviction to happen (misses stall until the eviction-allowed bit is
 set, hits proceed immediately).  The cache therefore exposes
 :meth:`Cache.probe` — a pure query with no side effects — alongside
 :meth:`Cache.access`, which performs the full hit/miss/evict/fill
-transaction.
+transaction (:meth:`Cache.lookup_fill` is the same transaction returning
+an int code, allocating nothing).
 """
 
 from __future__ import annotations
@@ -86,11 +87,21 @@ class Eviction:
     dirty: bool
 
 
+#: :meth:`Cache.lookup_fill` outcome codes.  Line addresses are
+#: non-negative, so a code ``>= 0`` is a dirty victim's line and a clean
+#: victim ``v`` is returned as ``_CLEAN_VICTIM - v``, below both codes.
+HIT = -1
+#: A miss that displaced no valid line.
+MISS = -2
+_CLEAN_VICTIM = -3
+
+
+@dataclass
 class AccessResult:
     """Outcome of one cache access.
 
-    A plain slotted class (not a dataclass): one instance is created
-    per demand access on the simulator's hottest path.
+    Built by :meth:`Cache.access` only; the simulator uses the int
+    codes of :meth:`Cache.lookup_fill`.
 
     Attributes
     ----------
@@ -103,27 +114,9 @@ class AccessResult:
         ``None``.  Misses into an invalid way evict nothing.
     """
 
-    __slots__ = ("hit", "set_index", "eviction")
-
-    def __init__(self, hit: bool, set_index: int, eviction: Optional[Eviction]) -> None:
-        self.hit = hit
-        self.set_index = set_index
-        self.eviction = eviction
-
-    def __repr__(self) -> str:
-        return (
-            f"AccessResult(hit={self.hit}, set_index={self.set_index}, "
-            f"eviction={self.eviction})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AccessResult):
-            return NotImplemented
-        return (
-            self.hit == other.hit
-            and self.set_index == other.set_index
-            and self.eviction == other.eviction
-        )
+    hit: bool
+    set_index: int
+    eviction: Optional[Eviction]
 
 
 class CacheStats:
@@ -284,55 +277,93 @@ class Cache:
         victim chosen by the replacement policy among ``ways`` (all
         ways when ``None``).
 
-        Returns an :class:`AccessResult`; the caller charges latencies
-        and propagates the eviction's write-back.
+        Returns an :class:`AccessResult`, clean victims included.  This
+        is the allocating wrapper over :meth:`lookup_fill` for tests and
+        cold callers; ``repro.sim.reference`` preserves the unoptimised
+        implementation for equivalence tests and the single-run
+        benchmark.
+        """
+        if line < 0:
+            raise SimulationError(f"{self.name}: negative line address {line}")
+        code = self.lookup_fill(line, write, tuple(ways) if ways is not None else None)
+        eviction = None
+        if code >= 0:
+            eviction = Eviction(line=code, dirty=True)
+        elif code < MISS:
+            eviction = Eviction(line=_CLEAN_VICTIM - code, dirty=False)
+        return AccessResult(code == HIT, self.placement.set_index(line), eviction)
 
-        This is the hottest transaction in the simulator (once per L1
-        access, twice per LLC transaction); callers passing ``ways``
-        should pass a *tuple* so the candidate set needs no per-access
-        re-allocation.  ``repro.sim.reference`` preserves the
-        unoptimised implementation for equivalence tests and the
-        single-run benchmark.
+    def lookup_fill(
+        self, line: int, write: bool = False, ways: Optional[Tuple[int, ...]] = None
+    ) -> int:
+        """The demand access of :meth:`access`, allocating nothing.
+
+        Returns :data:`HIT`, :data:`MISS`, the dirty victim's line
+        (``>= 0``: the caller owes a write-back) or ``_CLEAN_VICTIM -
+        victim``.  ``ways`` is a tuple, or ``None`` for every way.
         """
         set_index = self.placement.set_index(line)
+        candidates = self._all_ways if ways is None else ways
+        if self._lookup(set_index, line, write, candidates):
+            return HIT
+        return self._allocate(set_index, line, write, candidates)
+
+    def update_if_resident(
+        self, line: int, write: bool = False, ways: Optional[Tuple[int, ...]] = None
+    ) -> bool:
+        """:meth:`probe`, then :meth:`access` if resident, in one lookup.
+
+        Returns whether ``line`` was resident; never allocates.  Serves
+        L1 write-backs into the LLC and write-through stores.
+        """
+        candidates = self._all_ways if ways is None else ways
+        return self._lookup(self.placement.set_index(line), line, write, candidates)
+
+    def _lookup(self, set_index: int, line: int, write: bool, candidates) -> bool:
+        """The one demand lookup, with the hit bookkeeping: stats,
+        replacement ``on_hit`` and a write's dirty bit."""
         tags = self._tags[set_index]
-        if ways is None:
-            candidates = self._all_ways
-        elif type(ways) is tuple:
-            candidates = ways
-        else:
-            candidates = tuple(ways)
-        stats = self.stats
+        if line not in tags:
+            return False
         for way in candidates:
             if tags[way] == line:
-                stats.hits += 1
+                self.stats.hits += 1
                 if not self._stateless_repl:
                     self.replacement.on_hit(set_index, way)
                 if write and self.write_back:
                     self._dirty[set_index][way] = True
-                return AccessResult(True, set_index, None)
+                return True
+        return False
 
-        # Miss path: the replacement policy picks the victim way.  EoM
-        # random replacement draws uniformly over the candidate ways
-        # *regardless of validity* — real TR hardware does not special-
-        # case invalid frames, and Equation 1's derivation assumes
-        # every miss performs a victim draw.  (LRU naturally returns
-        # invalid ways first because invalidation demotes them.)
+    def _allocate(self, set_index: int, line: int, write: bool, candidates) -> int:
+        """Miss half of :meth:`lookup_fill`: victim draw, then the fill.
+
+        Callers that already know ``line`` misses (the simulator's
+        inline DL1 path) enter here directly.  EoM random replacement
+        draws uniformly over the candidate ways *regardless of
+        validity* — real TR hardware does not special-case invalid
+        frames, and Equation 1's derivation assumes every miss performs
+        a victim draw.  (LRU naturally returns invalid ways first
+        because invalidation demotes them.)
+        """
+        stats = self.stats
         stats.misses += 1
-        eviction = None
         target_way = self._choose_victim(set_index, candidates)
-        victim_line = tags[target_way]
-        if victim_line is not None:
-            victim_dirty = self._dirty[set_index][target_way]
-            eviction = Eviction(line=victim_line, dirty=victim_dirty)
+        tags, dirty = self._tags[set_index], self._dirty[set_index]
+        code = victim_line = tags[target_way]
+        if victim_line is None:
+            code = MISS
+        else:
             stats.evictions += 1
-            if victim_dirty:
+            if dirty[target_way]:
                 stats.writebacks += 1
+            else:
+                code = _CLEAN_VICTIM - victim_line
         tags[target_way] = line
-        self._dirty[set_index][target_way] = bool(write and self.write_back)
+        dirty[target_way] = bool(write and self.write_back)
         if not self._stateless_repl:
             self.replacement.on_fill(set_index, target_way)
-        return AccessResult(False, set_index, eviction)
+        return code
 
     def _choose_victim(self, set_index: int, candidates: Tuple[int, ...]) -> int:
         """Victim draw, inlining the stateless (EoM) fast path.

@@ -114,9 +114,9 @@ class PartitionedLLC:
     """A shared LLC whose ways are statically partitioned across cores.
 
     Exposes the same probe/access/force_eviction surface as
-    :class:`~repro.mem.cache.Cache` with an explicit ``core`` argument;
-    the simulator treats partitioned and fully shared LLCs uniformly
-    through :class:`SharedLLCView` adapters.
+    :class:`~repro.mem.cache.Cache` with an explicit ``core`` argument.
+    The simulator's memory path resolves each core's way tuple once and
+    calls the underlying cache directly.
     """
 
     def __init__(self, cache: Cache, partition: WayPartition) -> None:
@@ -130,31 +130,18 @@ class PartitionedLLC:
             )
         self.cache = cache
         self.partition = partition
-        # core -> way tuple, resolved once: partitions are immutable for
-        # the object's lifetime and this lookup sits on the per-access
-        # hot path.
-        self._ways_by_core: Dict[int, Tuple[int, ...]] = dict(
-            partition.ways_per_core
-        )
-
-    def _ways(self, core: int) -> Tuple[int, ...]:
-        ways = self._ways_by_core.get(core)
-        if ways is None:
-            # Delegate for the ConfigurationError message.
-            return self.partition.ways_for(core)
-        return ways
 
     def probe(self, core: int, line: int) -> bool:
         """Whether ``line`` is resident in ``core``'s partition."""
-        return self.cache.probe(line, ways=self._ways(core))
+        return self.cache.probe(line, ways=self.partition.ways_for(core))
 
     def access(self, core: int, line: int, write: bool = False) -> AccessResult:
         """Demand access confined to ``core``'s partition."""
-        return self.cache.access(line, write=write, ways=self._ways(core))
+        return self.cache.access(line, write=write, ways=self.partition.ways_for(core))
 
     def force_eviction(self, core: int, set_index: int) -> Eviction:
         """Forced eviction confined to ``core``'s partition."""
-        return self.cache.force_eviction(set_index, ways=self._ways(core))
+        return self.cache.force_eviction(set_index, ways=self.partition.ways_for(core))
 
     def flush_partition(self, core: int) -> list:
         """Flush only ``core``'s ways (partition reassignment, §2.2).
@@ -166,7 +153,7 @@ class PartitionedLLC:
         and full flushes share one accounting path (one ``evictions``
         per valid line displaced, one ``writebacks`` per dirty one).
         """
-        return self.cache.flush(ways=self._ways(core))
+        return self.cache.flush(ways=self.partition.ways_for(core))
 
     def __repr__(self) -> str:
         return f"PartitionedLLC({self.cache!r}, counts={self.partition.counts})"

@@ -39,6 +39,7 @@ from typing import Optional
 
 from repro.core.config import OperationMode
 from repro.errors import SimulationError
+from repro.mem.cache import HIT
 from repro.sim.platform import Platform
 from repro.sim.profiler import HotPathProfiler
 
@@ -59,9 +60,18 @@ class MemoryPath:
         self._profiler = profiler
         # Per-transaction hot attributes, resolved once: the platform's
         # shared components never change over the path's lifetime.
-        self._llc_view = platform.llc_view
+        self._llc = platform.llc
         self._efl = platform.efl
         config = platform.config
+        #: core -> LLC way tuple (``None``: every way).  A core outside
+        #: a CP partition (CP analysis materialises only the analysed
+        #: core's) gets no ways, so its first LLC miss raises.
+        partitioned = platform.llc_partition
+        self._llc_ways = [
+            None if partitioned is None
+            else partitioned.partition.ways_per_core.get(core, ())
+            for core in range(config.num_cores)
+        ]
         self._llc_hit_latency = config.llc_hit_latency
         bus_penalty = config.analysis_bus_penalty
         if bus_penalty is None:
@@ -126,8 +136,8 @@ class MemoryPath:
         # One access serves the lookup and, on a miss, the fill: nothing
         # between the lookup and the fill (EAB grant, memory read)
         # touches the LLC or its replacement PRNG.
-        result = self._llc_view.access(core, line, write=write)
-        if result.hit:
+        code = self._llc.lookup_fill(line, write, self._llc_ways[core])
+        if code == HIT:
             self.llc_hits += 1
             return lookup_done
 
@@ -139,7 +149,7 @@ class MemoryPath:
         else:
             grant = lookup_done
         done = self._memory_read_done(core, grant)
-        if result.eviction is not None and result.eviction.dirty:
+        if code >= 0:  # dirty LLC victim
             self._post_memory_write(core, done)
         return done
 
@@ -163,8 +173,8 @@ class MemoryPath:
             t1 = t2
 
         lookup_done = arrival + self._llc_hit_latency
-        result = self._llc_view.access(core, line, write=write)
-        if result.hit:
+        code = self._llc.lookup_fill(line, write, self._llc_ways[core])
+        if code == HIT:
             self.llc_hits += 1
             prof.account("llc", self._llc_hit_latency, perf_counter() - t1)
             return lookup_done
@@ -182,7 +192,7 @@ class MemoryPath:
             grant = lookup_done
         t1 = perf_counter()
         done = self._memory_read_done(core, grant)
-        if result.eviction is not None and result.eviction.dirty:
+        if code >= 0:
             self._post_memory_write(core, done)
         prof.account("memctrl", done - grant, perf_counter() - t1)
         return done
@@ -196,9 +206,7 @@ class MemoryPath:
         """
         prof = self._profiler
         t0 = perf_counter() if prof is not None else 0.0
-        llc_view = self._llc_view
-        if llc_view.probe(core, line):
-            llc_view.access(core, line, write=True)
+        if self._llc.update_if_resident(line, True, self._llc_ways[core]):
             if prof is not None:
                 prof.account("llc", 0, perf_counter() - t0)
         else:
@@ -232,9 +240,7 @@ class MemoryPath:
                 prof.account("efl", 0, t1 - t0)
                 t0 = t1
         lookup_done = arrival + self._llc_hit_latency
-        llc_view = self._llc_view
-        if llc_view.probe(core, line):
-            llc_view.access(core, line, write=True)
+        if self._llc.update_if_resident(line, True, self._llc_ways[core]):
             self.llc_hits += 1
         else:
             self.llc_misses += 1

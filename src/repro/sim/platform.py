@@ -15,7 +15,7 @@ from typing import List, Optional
 from repro.core.config import OperationMode
 from repro.core.efl import EFLController
 from repro.errors import ConfigurationError
-from repro.mem.cache import AccessResult, Cache
+from repro.mem.cache import Cache
 from repro.mem.partition import PartitionedLLC, WayPartition
 from repro.mem.bus import SharedBus
 from repro.mem.mainmemory import MainMemory
@@ -28,40 +28,6 @@ from repro.utils.rng import MultiplyWithCarry, SplitMix64
 _RII_BITS = 32
 
 
-class FullySharedLLCView:
-    """Adapter presenting a fully shared LLC uniformly to the memory path.
-
-    Every core sees every way — the EFL (and uncontrolled) organisation.
-    """
-
-    def __init__(self, cache: Cache) -> None:
-        self.cache = cache
-
-    def probe(self, core: int, line: int) -> bool:
-        """Whether ``line`` is resident (core-independent)."""
-        return self.cache.probe(line)
-
-    def access(self, core: int, line: int, write: bool = False) -> AccessResult:
-        """Demand access over all ways."""
-        return self.cache.access(line, write=write)
-
-
-class PartitionedLLCView:
-    """Adapter presenting a way-partitioned LLC to the memory path."""
-
-    def __init__(self, partitioned: PartitionedLLC) -> None:
-        self.partitioned = partitioned
-        self.cache = partitioned.cache
-
-    def probe(self, core: int, line: int) -> bool:
-        """Whether ``line`` is resident in ``core``'s partition."""
-        return self.partitioned.probe(core, line)
-
-    def access(self, core: int, line: int, write: bool = False) -> AccessResult:
-        """Demand access confined to ``core``'s partition."""
-        return self.partitioned.access(core, line, write=write)
-
-
 @dataclass
 class Platform:
     """All hardware instances of one simulated run."""
@@ -71,7 +37,8 @@ class Platform:
     il1s: List[Cache]
     dl1s: List[Cache]
     llc: Cache
-    llc_view: object
+    #: The CP way partition of ``llc``; ``None`` when fully shared.
+    llc_partition: Optional[PartitionedLLC]
     bus: SharedBus
     memory: MainMemory
     memctrl: AnalysableMemoryController
@@ -154,9 +121,9 @@ def build_platform(
                     f"{config.llc_ways} ways"
                 )
             partition = WayPartition.from_counts(counts, config.llc_ways)
-        llc_view = PartitionedLLCView(PartitionedLLC(llc, partition))
+        llc_partition = PartitionedLLC(llc, partition)
     else:
-        llc_view = FullySharedLLCView(llc)
+        llc_partition = None
 
     bus = SharedBus(
         config.num_cores, config.bus_latency, MultiplyWithCarry(seeds.next_u64())
@@ -180,7 +147,7 @@ def build_platform(
         il1s=il1s,
         dl1s=dl1s,
         llc=llc,
-        llc_view=llc_view,
+        llc_partition=llc_partition,
         bus=bus,
         memory=memory,
         memctrl=memctrl,

@@ -1,13 +1,13 @@
 """The unoptimised reference hot path, kept runnable for comparison.
 
 The per-instruction simulation core (``Cache.access``, placement
-hashing, the EoM victim draw, the LLC lookup of ``MemoryPath.fill``,
-the core scheduler) carries optimisations — a per-(RII, line)
-set-index memo, precomputed candidate way tuples, an inlined victim
-draw, one LLC lookup per fill, burst scheduling with the pipeline
-recurrence and the L1 hits inlined — that must be *invisible in the
-data*: every optimisation is required to produce bit-identical
-execution times.
+hashing, the EoM victim draw, the L1 callbacks, the LLC lookups of
+``MemoryPath``, the core scheduler) carries optimisations — a per-(RII,
+line) set-index memo, an inlined victim draw, int outcome codes instead
+of ``AccessResult`` objects, one lookup per cache level, burst
+scheduling with the pipeline and the DL1 hits and misses inlined —
+that must be *invisible in the data*: every optimisation is required
+to produce bit-identical execution times.
 
 This module preserves the pre-optimisation implementations verbatim and
 exposes :func:`reference_hot_path`, a context manager that swaps them
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
+from time import perf_counter
 
 from repro.errors import SimulationError
 from repro.mem.cache import AccessResult, Cache, Eviction
@@ -105,6 +106,12 @@ def _reference_force_eviction(self, set_index, ways=None):
     return eviction if eviction is not None else Eviction(line=None, dirty=False)
 
 
+def _reference_llc_ways(path, core):
+    """``core``'s LLC ways (``None``: all), resolved per access."""
+    partitioned = path.platform.llc_partition
+    return None if partitioned is None else partitioned.partition.ways_for(core)
+
+
 def _reference_fill(self, core, line, time, write=False):
     """Pre-optimisation ``MemoryPath.fill``: an LLC probe, then a
     second lookup through ``access`` for the hit or the fill."""
@@ -118,9 +125,9 @@ def _reference_fill(self, core, line, time, write=False):
         efl.inject_interference(arrival)
 
     lookup_done = arrival + self._llc_hit_latency
-    llc_view = self._llc_view
-    if llc_view.probe(core, line):
-        llc_view.access(core, line, write=write)
+    llc, ways = self.platform.llc, _reference_llc_ways(self, core)
+    if llc.probe(line, ways):
+        llc.access(line, write=write, ways=ways)
         self.llc_hits += 1
         return lookup_done
 
@@ -131,10 +138,109 @@ def _reference_fill(self, core, line, time, write=False):
     else:
         grant = lookup_done
     done = self._memory_read_done(core, grant)
-    result = llc_view.access(core, line, write=write)
+    result = llc.access(line, write=write, ways=ways)
     if result.eviction is not None and result.eviction.dirty:
         self._post_memory_write(core, done)
     return done
+
+
+def _reference_l1_writeback(self, core, line, time):
+    """Pre-optimisation ``MemoryPath.l1_writeback``: probe, then access."""
+    prof = self._profiler
+    t0 = perf_counter() if prof is not None else 0.0
+    llc, ways = self.platform.llc, _reference_llc_ways(self, core)
+    if llc.probe(line, ways):
+        llc.access(line, write=True, ways=ways)
+        if prof is not None:
+            prof.account("llc", 0, perf_counter() - t0)
+    else:
+        self._post_memory_write(core, time)
+        if prof is not None:
+            prof.account("memctrl", 0, perf_counter() - t0)
+
+
+def _reference_store_through(self, core, line, time):
+    """Pre-optimisation ``MemoryPath.store_through``: probe, then access."""
+    if time < 0:
+        raise SimulationError(f"store at negative time {time}")
+    prof = self._profiler
+    t0 = perf_counter() if prof is not None else 0.0
+    arrival = self._bus_done(core, time)
+    if prof is not None:
+        t1 = perf_counter()
+        prof.account("bus", arrival - time, t1 - t0)
+        t0 = t1
+    efl = self._efl
+    if efl is not None:
+        efl.inject_interference(arrival)
+        if prof is not None:
+            t1 = perf_counter()
+            prof.account("efl", 0, t1 - t0)
+            t0 = t1
+    lookup_done = arrival + self._llc_hit_latency
+    llc, ways = self.platform.llc, _reference_llc_ways(self, core)
+    if llc.probe(line, ways):
+        llc.access(line, write=True, ways=ways)
+        self.llc_hits += 1
+    else:
+        self.llc_misses += 1
+        self._post_memory_write(core, lookup_done)
+    if prof is not None:
+        prof.account("llc", self._llc_hit_latency, perf_counter() - t0)
+    return lookup_done
+
+
+def _reference_fetch_latency(self, pc, time):
+    """Pre-optimisation ``CoreRunner._fetch_latency``: ``Cache.access``."""
+    line = pc >> self._line_shift
+    prof = self._profiler
+    if prof is None:
+        result = self.il1.access(line)
+    else:
+        t0 = perf_counter()
+        result = self.il1.access(line)
+        wall = perf_counter() - t0
+    if result.hit:
+        if prof is not None:
+            prof.account("l1", self._l1_hit, wall)
+        return self._l1_hit
+    if prof is not None:
+        prof.account("l1", 0, wall)
+    issue = time if time >= self._port_free else self._port_free
+    done = self.path.fill(self.core_id, line, issue)
+    self._port_free = done
+    return done - time
+
+
+def _reference_mem_latency(self, address, is_store, time):
+    """Pre-optimisation ``CoreRunner._mem_latency``: ``Cache.access``."""
+    line = address >> self._line_shift
+    prof = self._profiler
+    if is_store and not self._wb_dl1:
+        if self.dl1.probe(line):
+            self.dl1.access(line)
+        issue = time if time >= self._port_free else self._port_free
+        done = self.path.store_through(self.core_id, line, issue)
+        self._port_free = done
+        return done - time
+    if prof is None:
+        result = self.dl1.access(line, write=is_store)
+    else:
+        t0 = perf_counter()
+        result = self.dl1.access(line, write=is_store)
+        wall = perf_counter() - t0
+    if result.hit:
+        if prof is not None:
+            prof.account("l1", self._l1_hit, wall)
+        return self._l1_hit
+    if prof is not None:
+        prof.account("l1", 0, wall)
+    issue = time if time >= self._port_free else self._port_free
+    done = self.path.fill(self.core_id, line, issue)
+    self._port_free = done
+    if result.eviction is not None and result.eviction.dirty:
+        self.path.l1_writeback(self.core_id, result.eviction.line, done)
+    return done - time
 
 
 def _reference_core_step(runner):
@@ -201,6 +307,10 @@ _REFERENCE_PATCHES = (
     (Cache, "access", _reference_access),
     (Cache, "force_eviction", _reference_force_eviction),
     (MemoryPath, "fill", _reference_fill),
+    (MemoryPath, "l1_writeback", _reference_l1_writeback),
+    (MemoryPath, "store_through", _reference_store_through),
+    (CoreRunner, "_fetch_latency", _reference_fetch_latency),
+    (CoreRunner, "_mem_latency", _reference_mem_latency),
     (CoreRunner, "run_to_completion", _reference_run_to_completion),
     (simulator, "_run_cores", _reference_run_cores),
 )

@@ -21,6 +21,10 @@ core steps, and keys never decrease.  The analysis engine has no
 ordering approximation (a single active core; CRG evictions are
 replayed in exact time order), so the trust-critical side of the
 paper — analysis-time bounds — is modelled exactly.
+
+An L1 miss is one allocation-free transaction: one lookup per cache
+level, int codes from :meth:`~repro.mem.cache.Cache.lookup_fill`, and
+write-back DL1 misses handled inside the burst loop.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from repro.core.config import OperationMode
 from repro.cpu.pipeline import _EXEC_LATENCY_BY_KIND, _STORE_KIND, InOrderPipeline
 from repro.cpu.trace import Trace
 from repro.errors import ConfigurationError, RunTimeoutError, SimulationError
-from repro.mem.cache import Cache
+from repro.mem.cache import HIT, Cache
 from repro.mem.placement import RandomPlacement
 from repro.sim.config import Scenario, SystemConfig
 from repro.sim.memorypath import MemoryPath
@@ -126,7 +130,7 @@ class CoreRunner:
         self._wb_dl1 = config.dl1_write_back
         self.pipeline = InOrderPipeline(self._fetch_latency, self._mem_latency)
         self._iter = iter(trace)
-        self._remaining = len(trace)
+        self._length = self._remaining = len(trace)
         # Hot-line shortcuts of the burst loop (:meth:`run_until`),
         # sound for stateless (EoM) replacement only: a resident line
         # stays resident until the next fill of the same cache, and hits
@@ -154,12 +158,12 @@ class CoreRunner:
         line = pc >> self._line_shift
         prof = self._profiler
         if prof is None:
-            result = self.il1.access(line)
+            code = self.il1.lookup_fill(line)
         else:
             t0 = perf_counter()
-            result = self.il1.access(line)
+            code = self.il1.lookup_fill(line)
             wall = perf_counter() - t0
-        if result.hit:
+        if code == HIT:
             if prof is not None:
                 prof.account("l1", self._l1_hit, wall)
             return self._l1_hit
@@ -180,19 +184,18 @@ class CoreRunner:
         if is_store and not self._wb_dl1:
             # Write-through DL1 (A2 ablation): update the DL1 copy if
             # present (no allocation on miss), write through to the LLC.
-            if self.dl1.probe(line):
-                self.dl1.access(line)
+            self.dl1.update_if_resident(line)
             issue = time if time >= self._port_free else self._port_free
             done = self.path.store_through(self.core_id, line, issue)
             self._port_free = done
             return done - time
         if prof is None:
-            result = self.dl1.access(line, write=is_store)
+            code = self.dl1.lookup_fill(line, is_store)
         else:
             t0 = perf_counter()
-            result = self.dl1.access(line, write=is_store)
+            code = self.dl1.lookup_fill(line, is_store)
             wall = perf_counter() - t0
-        if result.hit:
+        if code == HIT:
             if prof is not None:
                 prof.account("l1", self._l1_hit, wall)
             return self._l1_hit
@@ -201,8 +204,8 @@ class CoreRunner:
         issue = time if time >= self._port_free else self._port_free
         done = self.path.fill(self.core_id, line, issue)
         self._port_free = done
-        if result.eviction is not None and result.eviction.dirty:
-            self.path.l1_writeback(self.core_id, result.eviction.line, done)
+        if code >= 0:  # dirty DL1 victim
+            self.path.l1_writeback(self.core_id, code, done)
         return done - time
 
     # ------------------------------------------------------------------
@@ -235,10 +238,14 @@ class CoreRunner:
         The :meth:`InOrderPipeline.step` recurrence runs on locals, and
         so do the L1 hits of stateless (EoM) random-placement caches:
         the ``_tags`` lookup, ``stats.hits`` and the store's dirty bit
-        of :meth:`Cache.access`.  Misses, write-through stores, LRU or
-        modulo L1s and profiled runs take the latency callbacks.  A
-        clock past ``cycle_budget`` raises a deterministic (never
-        retried) :class:`~repro.errors.RunTimeoutError`.
+        of :meth:`Cache.lookup_fill`.  A write-back DL1 miss on that
+        path is handled here too, allocation-free: the victim draw and
+        fill (:meth:`Cache._allocate`), :meth:`MemoryPath.fill` and the
+        dirty victim's :meth:`MemoryPath.l1_writeback`.  IL1 misses,
+        write-through stores, LRU or modulo L1s and profiled runs take
+        the latency callbacks.  A clock past ``cycle_budget`` raises a
+        deterministic (never retried)
+        :class:`~repro.errors.RunTimeoutError`.
         """
         pipeline = self.pipeline
         end_fetch, start_decode = pipeline._end_fetch, pipeline._start_decode
@@ -249,14 +256,19 @@ class CoreRunner:
         exec_latency = _EXEC_LATENCY_BY_KIND
         shift, l1_hit = self._line_shift, self._l1_hit
         plain = self._profiler is None
-        # Inline hit paths; ``None`` routes every access to a callback.
+        # Inline L1 paths (hits, and DL1 misses); ``None`` routes every
+        # access to a callback.
         imemo = dmemo = None
         il1, dl1 = self.il1, self.dl1
         if plain and self._shortcut_il1 and type(il1.placement) is RandomPlacement:
             imemo, itags = il1.placement._memo, il1._tags
         if plain and self._shortcut_dl1 and dl1.write_back \
                 and type(dl1.placement) is RandomPlacement:
-            dmemo, dtags, ddirty = dl1.placement._memo, dl1._tags, dl1._dirty
+            dplace = dl1.placement
+            dmemo, dtags, ddirty = dplace._memo, dl1._tags, dl1._dirty
+            dallocate, dways = dl1._allocate, dl1._all_ways
+            core_id, path = self.core_id, self.path
+            path_fill, l1_writeback = path.fill, path.l1_writeback
         last_iline = self._last_iline if imemo is not None else -1
         last_dline = self._last_dline if dmemo is not None else -1
         fast_ihits = fast_dhits = ihits = dhits = 0
@@ -295,7 +307,10 @@ class CoreRunner:
                     if not is_store and line == last_dline:
                         fast_dhits += 1
                         latency = l1_hit
-                    elif dmemo is not None and (index := dmemo.get(line)) is not None \
+                    elif dmemo is None:
+                        latency = mem_latency(address, is_store, start_mem)
+                        port_free = self._port_free
+                    elif (index := dmemo.get(line)) is not None \
                             and line in (tags := dtags[index]):
                         dhits += 1
                         if is_store:
@@ -303,10 +318,18 @@ class CoreRunner:
                         last_dline = line
                         latency = l1_hit
                     else:
-                        latency = mem_latency(address, is_store, start_mem)
-                        port_free = self._port_free
-                        if dmemo is not None:
-                            last_dline = line  # just filled, now resident
+                        # DL1 miss, after the one lookup above: victim
+                        # draw and fill, the shared-path fill, then the
+                        # dirty victim's posted write-back.
+                        if index is None:
+                            index = dplace.set_index(line)
+                        victim = dallocate(index, line, is_store, dways)
+                        issue = start_mem if start_mem >= port_free else port_free
+                        self._port_free = port_free = path_fill(core_id, line, issue)
+                        if victim >= 0:
+                            l1_writeback(core_id, victim, port_free)
+                        latency = port_free - start_mem
+                        last_dline = line  # just filled, now resident
                 if latency < 1:
                     raise SimulationError(
                         f"stage latency must be >= 1 cycle, callback returned {latency}"
@@ -327,7 +350,7 @@ class CoreRunner:
             pipeline._end_fetch, pipeline._start_decode = end_fetch, start_decode
             pipeline._start_mem, pipeline._start_wb = start_mem, start_wb
             pipeline._end_wb, pipeline.instructions = end_wb, instructions
-            self._remaining = len(self.trace) - instructions
+            self._remaining = self._length - instructions
             self._fast_ihits += fast_ihits
             self._fast_dhits += fast_dhits
             il1.stats.hits += ihits

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.mem.cache import Cache, CacheGeometry, Eviction
+from repro.mem.cache import _CLEAN_VICTIM, HIT, MISS, Cache, CacheGeometry, Eviction
 from repro.mem.placement import ModuloPlacement, RandomPlacement
 from repro.mem.replacement import EvictOnMissRandom, LRUReplacement
+from repro.sim.reference import _reference_access
 from repro.utils.rng import MultiplyWithCarry
 
 
@@ -461,3 +462,105 @@ class TestProbeUnderWayRestriction:
         cache.access(9, ways=[3])
         assert cache.probe(9, ways=[3])
         assert cache.probe(9, ways=(3,))
+
+
+def _cache_state(cache):
+    """Everything a demand access can change, as comparable data."""
+    stats = cache.stats
+    replacement = cache.replacement
+    rng = getattr(replacement, "_rng", None)
+    return (
+        [list(tags) for tags in cache._tags],
+        [list(dirty) for dirty in cache._dirty],
+        (stats.hits, stats.misses, stats.evictions, stats.writebacks,
+         stats.forced_evictions),
+        [list(stack) for stack in getattr(replacement, "_recency", None) or []],
+        (rng._x, rng._c) if rng is not None else None,
+    )
+
+
+def _decode(code):
+    """Map a ``lookup_fill`` code onto ``(hit, eviction)``."""
+    if code == HIT:
+        return True, None
+    if code == MISS:
+        return False, None
+    if code >= 0:
+        return False, Eviction(line=code, dirty=True)
+    return False, Eviction(line=_CLEAN_VICTIM - code, dirty=False)
+
+
+#: Candidate-way choices of a 4-way cache: every way, or one of two
+#: disjoint partitions (so lines may sit in several partitions at once).
+_WAY_CHOICES = (None, (0, 1), (2, 3), (3,))
+
+_cache_kinds = st.tuples(
+    st.sampled_from(["modulo", "random"]),
+    st.sampled_from(["eom", "lru"]),
+    st.booleans(),  # write-back
+    st.integers(min_value=0, max_value=50),  # seed / RII
+)
+_ops = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40),  # line: few sets, many conflicts
+        st.booleans(),  # write
+        st.sampled_from(range(len(_WAY_CHOICES))),
+    ),
+    min_size=1, max_size=120,
+)
+
+
+class TestAccessCore:
+    """``lookup_fill`` is the one demand transaction: ``access`` wraps
+    it, and both leave exactly the state of the reference access."""
+
+    def _caches(self, kind, count):
+        placement, replacement, write_back, seed = kind
+        return [
+            make_cache(size=128, ways=4, placement_kind=placement,
+                       replacement_kind=replacement, seed=seed,
+                       write_back=write_back, rii=seed)
+            for _ in range(count)
+        ]
+
+    @given(kind=_cache_kinds, ops=_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_core_access_and_reference_agree(self, kind, ops):
+        core, wrapped, reference = self._caches(kind, 3)
+        for line, write, choice in ops:
+            ways = _WAY_CHOICES[choice]
+            code = core.lookup_fill(line, write, ways)
+            result = wrapped.access(line, write=write, ways=ways)
+            expected = _reference_access(reference, line, write, ways)
+            assert result == expected
+            assert _decode(code) == (expected.hit, expected.eviction)
+            assert _cache_state(core) == _cache_state(wrapped) \
+                == _cache_state(reference)
+
+    @given(kind=_cache_kinds, ops=_ops, updates=st.lists(st.booleans(), max_size=120))
+    @settings(max_examples=80, deadline=None)
+    def test_update_if_resident_is_probe_then_access(self, kind, ops, updates):
+        single, probed = self._caches(kind, 2)
+        for (line, write, choice), update in zip(ops, updates + [False] * len(ops)):
+            ways = _WAY_CHOICES[choice]
+            if update:
+                resident = probed.probe(line, ways)
+                if resident:
+                    probed.access(line, write=True, ways=ways)
+                assert single.update_if_resident(line, True, ways) is resident
+            else:
+                single.lookup_fill(line, write, ways)
+                probed.lookup_fill(line, write, ways)
+            assert _cache_state(single) == _cache_state(probed)
+
+    def test_access_reports_clean_victims(self):
+        cache = make_cache(size=16, ways=1)  # one frame: every miss evicts
+        assert cache.access(1).eviction is None
+        assert cache.access(2).eviction == Eviction(line=1, dirty=False)
+        cache.access(3, write=True)
+        assert cache.lookup_fill(4) == 3  # dirty victim: its line
+        assert _decode(cache.lookup_fill(5)) == (False, Eviction(line=4, dirty=False))
+
+    def test_negative_line_rejected(self):
+        with pytest.raises(SimulationError):
+            make_cache().access(-1)

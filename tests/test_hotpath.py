@@ -11,7 +11,10 @@ every scenario class the simulator supports must produce bit-identical
 
 Deployment co-runs get their own scenario classes: the burst
 scheduler must reproduce the per-instruction heap scheduler of the
-reference path, core-id tie-breaks included.
+reference path, core-id tie-breaks included.  Further co-run classes
+cover the L1-miss write paths (dirty victims into an LRU LLC or into
+another core's partition, write-through stores), and a counter checks
+that shipped EoM co-runs build no ``AccessResult``.
 
 Also sanity-checks the profiler's attribution against independently
 tracked counters (EFL stall cycles) and its behaviour across the
@@ -29,8 +32,10 @@ from repro.cpu.isa import OpKind
 from repro.cpu.pipeline import InOrderPipeline
 from repro.cpu.trace import Trace
 from repro.errors import RunTimeoutError
+from repro.mem.cache import AccessResult
 from repro.sim.backend import ProcessPoolBackend, ProfilingObserver, SerialBackend
 from repro.sim.config import Scenario, SystemConfig
+from repro.sim.memorypath import MemoryPath
 from repro.sim.profiler import COMPONENTS, HotPathProfiler, ProfileSnapshot
 from repro.sim.reference import reference_hot_path
 from repro.sim.simulator import RunRequest, execute_request, run_workload
@@ -123,6 +128,21 @@ def _corun_requests():
             traces,
             ExperimentScale.quick().system_config(dl1_write_back=False),
             Scenario.efl(500, mode=DEPLOYMENT), SEED,
+        ),
+        # TD: dirty L1 victims written back into an LRU LLC, whose hits
+        # must still update recency.
+        "td-lru-writeback": RunRequest.workload(
+            traces,
+            ExperimentScale.tiny().system_config(
+                placement="modulo", replacement="lru"
+            ),
+            Scenario.uncontrolled(DEPLOYMENT), SEED,
+        ),
+        # The same data on every core: a dirty victim's line may sit in
+        # another core's partition, where its write-back must not hit.
+        "cp-shared-lines": RunRequest.workload(
+            (traces[1],) * 4, config,
+            Scenario.cache_partitioning((4, 2, 1, 1), mode=DEPLOYMENT), SEED,
         ),
     }
 
@@ -240,6 +260,60 @@ class TestReferenceEquivalence:
                     calls.clear()
             finally:
                 InOrderPipeline.step = shipped
+
+    def test_shipped_corun_builds_no_access_results(self, monkeypatch):
+        # EoM write-back co-runs run on lookup_fill codes alone; the
+        # reference context builds an AccessResult per L1 access.
+        built = []
+        init = AccessResult.__init__
+
+        def counting(self, hit, set_index, eviction):
+            built.append(hit)
+            init(self, hit, set_index, eviction)
+
+        monkeypatch.setattr(AccessResult, "__init__", counting)
+        for label in ("efl-unequal-lengths", "cp-uneven-ways"):
+            request = _corun_requests()[label]
+            execute_request(request)
+            assert built == []
+            with reference_hot_path():
+                result = execute_request(request)
+            l1_misses = sum(core.il1_misses + core.dl1_misses for core in result.cores)
+            assert l1_misses > 0
+            assert built.count(False) >= l1_misses
+            built.clear()
+
+    def test_corun_cases_reach_their_write_paths(self, monkeypatch):
+        # Each write-path case must reach the path it exists for: LLC
+        # hits of dirty L1 victims into an LRU LLC, dirty victims whose
+        # line sits only in another core's partition, and DL1
+        # write-through stores.
+        writebacks = []
+        stores = []
+        l1_writeback = MemoryPath.l1_writeback
+        store_through = MemoryPath.store_through
+
+        def recording_writeback(self, core, line, time):
+            llc, partitioned = self.platform.llc, self.platform.llc_partition
+            ways = None if partitioned is None else partitioned.partition.ways_for(core)
+            own = llc.probe(line, ways)
+            writebacks.append((own, not own and llc.probe(line)))
+            return l1_writeback(self, core, line, time)
+
+        def recording_store(self, core, line, time):
+            stores.append(line)
+            return store_through(self, core, line, time)
+
+        monkeypatch.setattr(MemoryPath, "l1_writeback", recording_writeback)
+        monkeypatch.setattr(MemoryPath, "store_through", recording_store)
+        requests = _corun_requests()
+        execute_request(requests["td-lru-writeback"])
+        assert sum(own for own, _elsewhere in writebacks) > 0
+        writebacks.clear()
+        execute_request(requests["cp-shared-lines"])
+        assert sum(elsewhere for _own, elsewhere in writebacks) > 0
+        execute_request(requests["write-through"])
+        assert stores
 
     def test_reference_context_restores_implementations(self):
         from repro.mem.cache import Cache

@@ -5,14 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import OperationMode
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.config import Scenario, SystemConfig
 from repro.sim.memorypath import MemoryPath
-from repro.sim.platform import (
-    FullySharedLLCView,
-    PartitionedLLCView,
-    build_platform,
-)
+from repro.mem.partition import PartitionedLLC
+from repro.sim.platform import build_platform
 
 
 def small_config(**overrides):
@@ -25,7 +22,7 @@ class TestBuildPlatform:
     def test_efl_platform(self):
         platform = build_platform(small_config(), Scenario.efl(250), seed=1)
         assert platform.efl is not None
-        assert isinstance(platform.llc_view, FullySharedLLCView)
+        assert platform.llc_partition is None
         assert len(platform.il1s) == 4
         assert len(platform.dl1s) == 4
 
@@ -36,14 +33,14 @@ class TestBuildPlatform:
             seed=1,
         )
         assert platform.efl is None
-        assert isinstance(platform.llc_view, PartitionedLLCView)
+        assert isinstance(platform.llc_partition, PartitionedLLC)
+        assert platform.llc_partition.cache is platform.llc
 
     def test_cp_analysis_only_materialises_analysed_core(self):
         platform = build_platform(
             small_config(), Scenario.cache_partitioning(4), seed=1
         )
-        view = platform.llc_view
-        assert view.partitioned.partition.counts == {0: 4}
+        assert platform.llc_partition.partition.counts == {0: 4}
 
     def test_cp_deployment_overflow_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -166,6 +163,16 @@ class TestMemoryPathAnalysis:
         path = MemoryPath(platform)
         done = path.fill(0, line=7, time=0)
         assert done == 2 + 10 + 100
+
+    def test_core_outside_cp_partition_cannot_fill(self):
+        # CP analysis materialises only the analysed core's partition.
+        platform = build_platform(
+            small_config(), Scenario.cache_partitioning(2), seed=5
+        )
+        path = MemoryPath(platform)
+        path.fill(0, 1, 0)
+        with pytest.raises(SimulationError):
+            path.fill(1, 2, 0)
 
     def test_cp_analysis_sees_no_interference(self):
         platform = build_platform(
