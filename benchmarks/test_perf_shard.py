@@ -1,9 +1,9 @@
-"""Sharded-engine throughput: multi-core lane shards vs one batch sweep.
+"""Sharded-engine throughput: multi-core lane shards vs one kernel sweep.
 
-Measures the tentpole claim of the sharded batch engine PR: a large
-analysis campaign partitioned over worker-process shards sustains at
-least 2x the single-process batch engine's runs/sec on a host with
-four or more usable CPUs.  Both engines are measured back-to-back in
+Measures the claim of kernel sharding: a large analysis campaign
+partitioned over worker-process shards sustains at least 2x the
+single-process kernel engine's runs/sec on a host with four or more
+usable CPUs.  Both engines are measured back-to-back in
 this process (self-relative, immune to host drift between bench
 invocations), and the sharded sample must equal the single-process
 sample bit for bit — the speedup is only worth recording if the data
@@ -53,7 +53,7 @@ def test_sharded_engine_throughput(scale):
 
     single = collect_execution_times(
         trace, config, scenario, runs=SHARD_RUNS, master_seed=CAMPAIGN_SEED,
-        engine="batch",
+        engine="kernel",
     )
     sharded = collect_execution_times(
         trace, config, scenario, runs=SHARD_RUNS, master_seed=CAMPAIGN_SEED,
@@ -68,6 +68,7 @@ def test_sharded_engine_throughput(scale):
         and sharded.execution_times == single.execution_times
     )
     assert bit_identical
+    assert single.backend == "kernel"
     assert sharded.backend == f"sharded[{WORKERS}]"
 
     speedup = (
@@ -103,7 +104,7 @@ def test_sharded_engine_throughput(scale):
     print()
     print(f"sharded engine throughput ({scale.name} scale, {cpus} CPUs, "
           f"{sharded.instructions} instructions/run):")
-    print(f"  batch  : {single.runs_per_second:8.1f} runs/s "
+    print(f"  kernel : {single.runs_per_second:8.1f} runs/s "
           f"({SHARD_RUNS} runs in {single.wall_time_s:.2f}s)")
     print(f"  sharded: {sharded.runs_per_second:8.1f} runs/s "
           f"({SHARD_RUNS} runs over {WORKERS} shards in "
@@ -114,6 +115,6 @@ def test_sharded_engine_throughput(scale):
     if gated:
         assert speedup >= MIN_SPEEDUP, (
             f"sharded engine delivered only {speedup:.2f}x over the "
-            f"single-process batch engine at R={SHARD_RUNS} with "
+            f"single-process kernel engine at R={SHARD_RUNS} with "
             f"{WORKERS} shards (floor: {MIN_SPEEDUP}x)"
         )

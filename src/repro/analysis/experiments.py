@@ -128,11 +128,10 @@ class PWCETTable:
         #: disables the guard entirely (no hot-path cost).
         self.cycle_budget = cycle_budget
         #: Run interpreter for analysis campaigns: ``"auto"`` (kernel /
-        #: sharded-kernel where eligible), ``"scalar"``, ``"batch"``,
-        #: ``"sharded"`` or ``"kernel"`` (the non-auto vector engines
-        #: are strict: they raise rather than fall back).
+        #: sharded kernel where eligible), ``"scalar"`` or ``"kernel"``
+        #: (strict: it raises rather than falls back).
         self.engine = engine
-        #: Shard workers for the batch/sharded engines (None = policy
+        #: Shard workers for the kernel engine (None = policy
         #: default); mutually exclusive with a process backend.
         self.workers = workers
         #: One compiled trace program per (trace, geometry) across the
@@ -392,9 +391,9 @@ def _deployment_samples(
     label: str,
 ) -> List[float]:
     """Co-run one workload ``len(rep_seeds)`` times through the backend."""
-    if table.engine in ("batch", "sharded", "kernel"):
+    if table.engine == "kernel":
         raise ConfigurationError(
-            f"the {table.engine} engine only vectorises analysis-mode "
+            "the kernel engine only vectorises analysis-mode "
             "isolation campaigns; deployment co-runs interleave cores "
             "dynamically and need the scalar interpreter (use "
             "engine='auto' or 'scalar' for deployment experiments)"

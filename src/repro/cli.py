@@ -13,15 +13,14 @@ Every command accepts ``--scale {tiny,quick,default,paper}`` and
 and ``--workers N`` to fan simulation runs out over worker processes
 (results are bit-identical across backends — seeds are derived per
 run, not per worker); results print as plain-text tables.
-``--engine {auto,scalar,batch,sharded,kernel}`` picks the run
-interpreter for analysis campaigns: ``auto`` (default) compiles
-eligible campaigns onto the grouped-opcode kernel engine — sharding
-the lanes over worker processes when the host has CPUs to use —
-``scalar`` forces the per-run interpreter, ``batch`` / ``sharded`` /
-``kernel`` fail loudly instead of falling back; samples are
-bit-identical across engines.  ``--engine kernel --workers N`` runs N
-shards (``--workers`` composes with either the process backend or the
-batch/sharded/kernel engines, never both at once).
+``--engine {auto,scalar,kernel}`` picks the run interpreter for
+analysis campaigns: ``auto`` (default) compiles eligible campaigns
+onto the kernel engine — sharding the lanes over worker processes
+when the host has CPUs to use — ``scalar`` forces the per-run
+interpreter, ``kernel`` fails loudly instead of falling back; samples
+are bit-identical across engines.  ``--engine kernel --workers N``
+runs N shards (``--workers`` composes with either the process backend
+or the kernel engine, never both at once).
 
 Long sweeps survive interruption with ``--checkpoint-dir DIR``: every
 analysis campaign journals its completed runs there, and rerunning
@@ -132,7 +131,6 @@ from repro.sim.backend import (
 )
 from repro.sim.batch import ENGINE_NAMES
 from repro.sim.config import Scenario, SystemConfig
-from repro.utils.xp import ARRAY_BACKEND_NAMES, set_array_backend
 from repro.workloads.scale import ExperimentScale
 from repro.workloads.suite import BENCHMARK_IDS, build_benchmark
 
@@ -554,7 +552,7 @@ def make_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "worker processes: pool workers with --backend process, "
-            "shard workers with --engine batch/sharded/auto "
+            "shard workers with --engine kernel/auto "
             "(default: CPU count)"
         ),
     )
@@ -564,29 +562,14 @@ def make_parser() -> argparse.ArgumentParser:
         choices=ENGINE_NAMES,
         help=(
             "run interpreter for analysis campaigns: 'auto' uses the "
-            "grouped-opcode kernel engine where eligible — sharded over "
-            "worker processes when the host and campaign are big enough "
-            "— and falls back to the scalar interpreter otherwise, "
-            "'scalar' forces per-run interpretation, 'batch' demands "
-            "lock-step NumPy execution, 'kernel' demands the compiled "
-            "grouped-opcode form ('--workers N' shards either N ways) "
-            "and 'sharded' demands the multi-process form; all three "
-            "fail (naming the obstacle) on ineligible campaigns, e.g. "
+            "kernel engine where eligible — sharded over worker "
+            "processes when the host and campaign are big enough — "
+            "and falls back to the scalar interpreter otherwise, "
+            "'scalar' forces per-run interpretation, 'kernel' demands "
+            "the kernel engine ('--workers N' shards it N ways) and "
+            "fails (naming the obstacle) on ineligible campaigns, e.g. "
             "deployment runs or --profile; samples are bit-identical "
             "across engines (default: auto)"
-        ),
-    )
-    parser.add_argument(
-        "--array-backend",
-        default="auto",
-        choices=ARRAY_BACKEND_NAMES,
-        help=(
-            "array namespace for the vector engines: 'auto' uses CuPy "
-            "when a working GPU stack is importable and NumPy "
-            "otherwise, 'numpy' pins the CPU path, 'cupy' demands the "
-            "GPU and fails (naming the obstacle) when it is missing; "
-            "samples are bit-identical across array backends "
-            "(default: auto)"
         ),
     )
     parser.add_argument(
@@ -897,14 +880,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise ConfigurationError(
             f"--workers must be a positive integer, got {args.workers}"
         )
-    if args.backend == "process" and args.engine in ("batch", "sharded",
-                                                     "kernel"):
+    if args.backend == "process" and args.engine == "kernel":
         raise ConfigurationError(
-            f"--backend process conflicts with --engine {args.engine}: the "
-            f"process backend interprets runs one at a time, while the "
-            f"{args.engine} engine dispatches its own lane shards; drop "
-            f"--backend process (use --engine {args.engine} --workers N "
-            f"for N shards)"
+            "--backend process conflicts with --engine kernel: the "
+            "process backend interprets runs one at a time, while the "
+            "kernel engine dispatches its own lane shards; drop "
+            "--backend process (use --engine kernel --workers N for N "
+            "shards)"
         )
     if args.engine == "scalar" and args.workers is not None \
             and args.backend != "process":
@@ -934,10 +916,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{args.runs}: an adaptive job's run budget is its "
             f"max_runs; pass just one of the two"
         )
-    # Select the array namespace before any engine touches it: the
-    # compiled plans and lane state allocate through the global ``xp``
-    # seam, so the switch must precede the first campaign.
-    set_array_backend(args.array_backend)
     if args.command in ("submit", "serve") and args.backend != "serial":
         raise ConfigurationError(
             f"{args.command} runs through the service's engine selection "

@@ -81,6 +81,7 @@ from repro.service.admission import (
     AdmissionPolicy,
     CircuitBreaker,
 )
+from repro.sim.batch import ENGINE_NAMES
 from repro.sim.campaign import CampaignResult, collect_execution_times
 from repro.sim.checkpoint import (
     CampaignCheckpoint,
@@ -132,6 +133,11 @@ class CampaignJob:
         if runs <= 0:
             raise ConfigurationError(
                 f"a campaign job needs at least one run, got {runs}"
+            )
+        if engine not in ENGINE_NAMES:
+            raise ConfigurationError(
+                f"a campaign job needs an engine in "
+                f"{', '.join(ENGINE_NAMES)}, got {engine!r}"
             )
         if deadline_s is not None and deadline_s <= 0:
             raise ConfigurationError(

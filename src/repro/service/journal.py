@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.cpu.trace import Trace
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.pta.adaptive import ConvergencePolicy
 from repro.sim.checkpoint import scan_durable_jsonl
 from repro.sim.config import Scenario, SystemConfig
@@ -143,7 +143,10 @@ def job_from_spec(spec: dict) -> CampaignJob:
             adaptive=(ConvergencePolicy.from_dict(adaptive_spec)
                       if adaptive_spec is not None else None),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        # ReproError: the library's own validation (a non-positive run
+        # count, a bad geometry or op kind, an unknown engine) rejected
+        # the rebuilt spec — just as malformed as a missing key.
         raise ServiceError(f"malformed job spec in journal: {exc}") from exc
     recorded = spec.get("fingerprint")
     if recorded is not None and job.fingerprint != recorded:

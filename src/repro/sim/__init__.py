@@ -13,9 +13,13 @@
 * :mod:`repro.sim.backend` — pluggable execution backends (serial /
   process-pool fan-out) and the :class:`RunObserver` observability
   seam;
-* :mod:`repro.sim.batch` — the lock-step NumPy batch engine: an
-  entire analysis-mode campaign as one struct-of-arrays sweep over
-  the trace, bit-identical to the scalar interpreter;
+* :mod:`repro.sim.kernels` — the kernel engine: an entire
+  analysis-mode campaign as one struct-of-arrays sweep over the
+  trace's compiled op schedule, bit-identical to the scalar
+  interpreter;
+* :mod:`repro.sim.batch` — its campaign backends, in-process
+  (:class:`BatchBackend`) and sharded over worker processes
+  (:class:`ShardedBatchBackend`);
 * :mod:`repro.sim.campaign` — multi-run measurement campaigns with
   per-run RII/seed refresh and full seed provenance, feeding the
   MBPTA layer;

@@ -15,8 +15,11 @@ touching simulation semantics:
   killing the pool, so one bad seed cannot abort a 1000-run campaign;
 * :class:`~repro.sim.batch.BatchBackend` (in :mod:`repro.sim.batch`)
   exploits the same property *within* one process: homogeneous
-  analysis-mode campaigns run as lock-step NumPy lanes, bit-identical
-  to :class:`SerialBackend` and several times faster per core.
+  analysis-mode campaigns run as lock-step NumPy lanes on the kernel
+  engine (:mod:`repro.sim.kernels`), bit-identical to
+  :class:`SerialBackend` and several times faster per core;
+  :class:`~repro.sim.batch.ShardedBatchBackend` shards those lanes
+  over this module's wave dispatch.
 
 **Determinism guarantee.**  Seeds are derived per *run* (by the
 campaign layer), never per worker, and :func:`~repro.sim.simulator.execute_request`
@@ -907,7 +910,7 @@ class ProcessPoolBackend(ExecutionBackend):
     def _pool_initializer(self, template: RunRequest) -> Tuple[Callable, tuple]:
         """Worker bootstrap ``(initializer, initargs)`` for one wave.
 
-        Subclasses (the sharded batch backend) substitute their own
+        Subclasses (the sharded kernel backend) substitute their own
         bootstrap to ship a shared-memory plan handle instead of the
         pickled template.
         """

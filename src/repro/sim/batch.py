@@ -1,43 +1,15 @@
-"""Lock-step batch engine: a whole analysis campaign as NumPy lanes.
+"""Campaign backends for the kernel engine: in-process and sharded.
 
-MBPTA's analysis stage re-executes one trace R >= 300-1000 times on a
-freshly randomised single-core platform (§3.3).  The runs are
-structurally identical — same instruction stream, same control flow,
-same memory-path choreography — and differ *only* in their PRNG
-streams.  That is the Monte-Carlo-replica shape, and this module
-exploits it: instead of R scalar interpreter walks over the trace, one
-sweep advances all R runs together, each run occupying one *lane* of a
-struct-of-arrays state.
-
-Layout (``R`` = lanes, i.e. runs in flight):
-
-* every cache is a packed ``tags[R, sets, ways]`` / ``dirty[R, sets,
-  ways]`` pair mirroring :class:`repro.mem.cache.Cache` (``-1`` = an
-  invalid frame);
-* placement is a precomputed ``sets[line, R]`` matrix: the parametric
-  hash of every distinct trace line under every lane's RII
-  (:func:`repro.utils.hashing.set_index_array`), or one broadcast
-  modulo column for TD;
-* every hardware PRNG is one :class:`repro.utils.rng.MWCArray` lane
-  bundle; draws are *masked*, so a lane consumes exactly the draws its
-  scalar twin would, in the same order;
-* LRU recency stacks become timestamp planes (argmin = victim), EoM
-  stays a masked ``randrange`` over the candidate ways;
-* the 4-stage in-order pipeline is five per-lane time vectors advanced
-  by the same max/add recurrence as
-  :class:`repro.cpu.pipeline.InOrderPipeline`;
-* EFL is a per-lane ACU (EAB times, stall accumulators) plus one
-  per-interfering-core CRG whose pending injections advance under a
-  compare-and-reload mask until every lane drained.
-
-The engine's contract is **bit-identity** with
+MBPTA's analysis stage re-executes one trace R times on a freshly
+randomised platform (§3.3).  :class:`BatchBackend` runs such a
+campaign as lock-step NumPy lanes through the compiled kernel plan of
+:mod:`repro.sim.kernels`; :class:`ShardedBatchBackend` splits the
+lanes into contiguous shards and runs each one in a worker of the
+process pool's wave dispatch.  Both are bit-identical to
 :class:`~repro.sim.backend.SerialBackend` — execution times, per-run
-cache counters, checksums and seed provenance — for every analysis
-scenario class (TR+EFL, TR isolation, CP, TD), asserted by
-``tests/test_batch.py`` the same way ``tests/test_hotpath.py`` pins
-the scalar hot path to ``sim/reference.py``.  Everything the engine
-cannot reproduce exactly is declared ineligible up front
-(:func:`repro.sim.simulator.batch_ineligibility`) and stays scalar.
+cache counters, checksums and seed provenance — and both declare
+anything the kernel cannot reproduce exactly ineligible up front
+(:func:`repro.sim.simulator.batch_ineligibility`).
 """
 
 from __future__ import annotations
@@ -46,10 +18,7 @@ import contextlib
 import multiprocessing
 import traceback
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError, classify_exception
 from repro.observability import current_telemetry
@@ -62,621 +31,28 @@ from repro.sim.backend import (
     SerialBackend,
     _notify,
     installed_fault_plan,
-    result_checksum,
     usable_cpus,
 )
+from repro.sim.kernels import KernelTemplatePlan
 from repro.sim.plancache import (
     GLOBAL_PLAN_CACHE,
     PlanCache,
     SharedProgram,
     SharedProgramHandle,
 )
-from repro.sim.simulator import (
-    CoreResult,
-    RunRequest,
-    RunResult,
-    batch_ineligibility,
-)
-from repro.utils.hashing import set_index_array
-from repro.utils.rng import MWCArray, splitmix64_draw
-from repro.utils.xp import xp
+from repro.sim.simulator import RunRequest, batch_ineligibility
 
 #: Engine names accepted by ``collect_execution_times(engine=...)`` and
-#: the CLI's ``--engine`` flag.  ``kernel`` is the grouped-opcode
-#: compiler (:mod:`repro.sim.kernels`) running on this engine's lane
-#: state; ``auto`` prefers it wherever plain ``batch`` would apply.
-ENGINE_NAMES = ("auto", "scalar", "batch", "sharded", "kernel")
+#: the CLI's ``--engine`` flag: ``scalar`` is the per-run interpreter
+#: (the oracle), ``kernel`` the vector engine (``workers=N`` shards it
+#: N ways), ``auto`` the kernel wherever it applies.
+ENGINE_NAMES = ("auto", "scalar", "kernel")
 
 #: Campaign size below which the ``auto`` engine policy keeps the
-#: single-process batch engine even on a multi-core host: sharding a
+#: single-process kernel engine even on a multi-core host: sharding a
 #: small campaign spends more on pool spin-up than the parallel sweep
 #: returns (the tiny/quick analysis scales run 40-80 lanes).
 SHARDED_AUTO_MIN_RUNS = 512
-
-_MASK32 = np.uint64(0xFFFFFFFF)
-
-
-class _LaneCache:
-    """One cache level across all lanes: ``tags[R, sets, ways]`` SoA.
-
-    Mirrors :class:`repro.mem.cache.Cache` exactly on the transactions
-    the analysis hot path uses: demand access (hit bookkeeping, EoM /
-    LRU victim choice, write-allocate fill), CRG forced eviction and
-    the posted L1 write-back update.  ``candidates`` restricts victim
-    choice and lookup to the first ``candidates`` ways — the
-    contiguous partition :func:`repro.sim.platform.build_platform`
-    materialises for CP analysis.
-    """
-
-    def __init__(
-        self,
-        lanes: int,
-        num_sets: int,
-        ways: int,
-        candidates: int,
-        sets: np.ndarray,
-        rng: Optional[MWCArray],
-        lru: bool,
-    ) -> None:
-        self.lanes = lanes
-        self.num_sets = num_sets
-        self.ways = ways
-        self.k = candidates
-        self.sets = sets  # [lines, lanes]
-        self.rng = rng
-        self.tags = xp.full((lanes, num_sets, ways), -1, dtype=np.int32)
-        self.dirty = xp.zeros((lanes, num_sets, ways), dtype=bool)
-        self.hits = xp.zeros(lanes, dtype=np.int64)
-        self.misses = xp.zeros(lanes, dtype=np.int64)
-        # Write-back probe hits live apart from demand hits: the LLC's
-        # reported per-run hit counts are demand hits only (matching
-        # the scalar oracle), so keeping ``hits`` demand-pure lets the
-        # sweep read them off the cache instead of accumulating a
-        # separate path vector on every fill.
-        self.wb_hits = xp.zeros(lanes, dtype=np.int64)
-        self.forced = xp.zeros(lanes, dtype=np.int64)
-        self._lane_ids = xp.arange(lanes)
-        if lru:
-            # LRU stacks as timestamp planes: stack position maps to
-            # stamp order (front = max).  Initial stack [0..w-1] means
-            # way w starts at stamp -(w+1); hits/fills stamp from a
-            # growing positive counter, invalidations from a shrinking
-            # counter below every initial stamp, so argmin over a
-            # set's stamps is exactly LRUReplacement.choose_victim.
-            self.stamps = xp.broadcast_to(
-                -(xp.arange(ways, dtype=np.int64) + 1), (lanes, num_sets, ways)
-            ).copy()
-            self._pos_stamp = 0
-            self._neg_stamp = -(ways + 1)
-        else:
-            self.stamps = None
-
-    def _victims(self, set_idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Victim way per lane, mirroring ``Cache._choose_victim``."""
-        if self.stamps is None:
-            # EoM: one randrange(k) draw per masked lane iff k > 1
-            # (the scalar path skips the draw for a single candidate).
-            if self.k == 1:
-                return np.zeros(self.lanes, dtype=np.int64)
-            return self.rng.randrange(self.k, mask).astype(np.int64)
-        stamps = self.stamps[self._lane_ids, set_idx]
-        if self.k != self.ways:
-            stamps = stamps[:, : self.k]
-        return np.argmin(stamps, axis=1)
-
-    def _stamp_touch(self, l: np.ndarray, s: np.ndarray, w: np.ndarray) -> None:
-        self._pos_stamp += 1
-        self.stamps[l, s, w] = self._pos_stamp
-
-    def demand(self, line_id: int, mask: np.ndarray, write: bool):
-        """Demand access of one trace line across the masked lanes.
-
-        Returns ``(hit, miss, victim_ids, victim_dirty)`` lane masks /
-        vectors; ``victim_*`` describe the displaced line of each miss
-        lane (``-1`` / ``False`` where the filled frame was invalid).
-        """
-        set_idx = self.sets[line_id]
-        lanes_ = self._lane_ids
-        frames = self.tags[lanes_, set_idx]
-        cand = frames if self.k == self.ways else frames[:, : self.k]
-        match = cand == line_id
-        hit = match.any(axis=1)
-        hit &= mask
-        miss = mask & ~hit
-        self.hits += hit
-        self.misses += miss
-        if (write or self.stamps is not None) and hit.any():
-            hw = np.argmax(match, axis=1)
-            hl = lanes_[hit]
-            hs = set_idx[hit]
-            hww = hw[hit]
-            if write:
-                self.dirty[hl, hs, hww] = True
-            if self.stamps is not None:
-                self._stamp_touch(hl, hs, hww)
-        victim_ids = None
-        victim_dirty = None
-        if miss.any():
-            vway = self._victims(set_idx, miss)
-            ml = lanes_[miss]
-            ms = set_idx[miss]
-            mw = vway[miss]
-            vt = self.tags[ml, ms, mw]
-            vd = self.dirty[ml, ms, mw]
-            victim_ids = np.full(self.lanes, -1, dtype=np.int64)
-            victim_ids[miss] = vt
-            victim_dirty = np.zeros(self.lanes, dtype=bool)
-            victim_dirty[miss] = vd & (vt >= 0)
-            self.tags[ml, ms, mw] = line_id
-            self.dirty[ml, ms, mw] = bool(write)
-            if self.stamps is not None:
-                self._stamp_touch(ml, ms, mw)
-        return hit, miss, victim_ids, victim_dirty
-
-    def force_evict_at(self, set_idx: np.ndarray, mask: np.ndarray) -> None:
-        """CRG force-miss: victim draw + displace, no allocation.
-
-        Mirrors ``Cache.force_eviction`` → ``_displace``: the draw and
-        the ``forced_evictions`` count happen even when the chosen
-        frame is invalid; the LRU demotion only when it was valid.
-        """
-        self.forced += mask
-        vway = self._victims(set_idx, mask)
-        ml = self._lane_ids[mask]
-        ms = set_idx[mask]
-        mw = vway[mask]
-        valid = self.tags[ml, ms, mw] >= 0
-        self.tags[ml, ms, mw] = -1
-        self.dirty[ml, ms, mw] = False
-        if self.stamps is not None and valid.any():
-            self._neg_stamp -= 1
-            self.stamps[ml[valid], ms[valid], mw[valid]] = self._neg_stamp
-
-    def writeback(self, line_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Posted dirty-L1-victim update (``MemoryPath.l1_writeback``).
-
-        Per-lane line ids: each lane's DL1 evicted its own victim.
-        Returns the lanes where the line was resident (updated and
-        marked dirty); the caller forwards the rest to memory.
-        """
-        safe = np.where(mask, line_ids, 0)
-        set_idx = self.sets[safe, self._lane_ids]
-        frames = self.tags[self._lane_ids, set_idx]
-        cand = frames if self.k == self.ways else frames[:, : self.k]
-        match = cand == line_ids[:, None]
-        resident = match.any(axis=1)
-        resident &= mask
-        if resident.any():
-            hw = np.argmax(match, axis=1)
-            rl = self._lane_ids[resident]
-            rs = set_idx[resident]
-            rw = hw[resident]
-            self.dirty[rl, rs, rw] = True
-            self.wb_hits += resident
-            if self.stamps is not None:
-                self._stamp_touch(rl, rs, rw)
-        return resident
-
-    def demand_compact(self, line_id: int, mask: np.ndarray, write: bool):
-        """:meth:`demand` with victims in compact form.
-
-        Returns ``(miss, miss_lanes, victim_dirty)`` where the last two
-        are aligned compact vectors over the missed lanes, or ``(None,
-        None, None)`` when every probed lane hit — the fill path needs
-        only the dirty victims' lane ids, so the full-width victim
-        expansion is skipped.
-        """
-        _hit, miss, vids, vdirty = self.demand(line_id, mask, write)
-        if vids is None:
-            return None, None, None
-        ml = np.nonzero(miss)[0]
-        return miss, ml, vdirty[ml]
-
-
-class _LaneACU:
-    """Per-lane EFL Access Control Unit (EAB times and stalls)."""
-
-    def __init__(
-        self, mid: int, randomise: bool, rng: Optional[MWCArray], lanes: int
-    ) -> None:
-        self.mid = mid
-        self.randomise = randomise
-        self.rng = rng
-        self.eab = xp.zeros(lanes, dtype=np.int64)
-        self.stall = xp.zeros(lanes, dtype=np.int64)
-        self.evictions = xp.zeros(lanes, dtype=np.int64)
-
-    def grant_record(self, now: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """``eviction_grant_time`` + ``record_eviction`` fused.
-
-        Returns the per-lane grant time (valid at masked lanes); the
-        cdc reload draw is consumed only by masked lanes.
-        """
-        grant = np.maximum(self.eab, now)
-        self.stall += np.where(mask, grant - now, 0)
-        self.evictions += mask
-        if self.randomise:
-            delay = self.rng.randint_inclusive(0, 2 * self.mid, mask).astype(np.int64)
-        else:
-            delay = self.mid
-        np.copyto(self.eab, grant + delay, where=mask)
-        return grant
-
-
-class _LaneCRG:
-    """Per-lane Cache Request Generator of one interfering core.
-
-    ``next_time`` is the per-lane absolute cycle of the next pending
-    forced eviction; :meth:`fire_until` drains every lane's arrivals up
-    to its own ``now`` under a shrinking pending mask (masked
-    compare-and-reload), preserving each lane's scalar draw order: set
-    draw, forced LLC victim draw, gap draw — repeat.
-    """
-
-    def __init__(
-        self, mid: int, randomise: bool, rng: MWCArray, num_sets: int, lanes: int
-    ) -> None:
-        self.mid = mid
-        self.randomise = randomise
-        self.rng = rng
-        self.num_sets = num_sets
-        if randomise:
-            self.next_time = rng.randint_inclusive(0, 2 * mid).astype(np.int64)
-        else:
-            self.next_time = xp.full(lanes, mid, dtype=np.int64)
-
-    def fire_until(self, now: np.ndarray, mask: np.ndarray, llc: _LaneCache) -> None:
-        pending = mask & (self.next_time <= now)
-        while pending.any():
-            sets = self.rng.randrange(self.num_sets, pending).astype(np.int64)
-            llc.force_evict_at(sets, pending)
-            if self.randomise:
-                gap = self.rng.randint_inclusive(0, 2 * self.mid, pending).astype(
-                    np.int64
-                )
-                # A zero gap still advances time by one cycle (at most
-                # one forced eviction per cycle per core).
-                inc = np.where(gap > 0, gap, 1)
-            else:
-                inc = self.mid if self.mid > 0 else 1
-            self.next_time = np.where(pending, self.next_time + inc, self.next_time)
-            pending = mask & (self.next_time <= now)
-
-
-class _LaneEnv:
-    """One sweep's lane state: caches, EFL units and path counters.
-
-    Built by :meth:`_TemplatePlan._lane_env` and driven by two
-    runtimes — the per-step interpreter below and the grouped-opcode
-    kernel (:mod:`repro.sim.kernels`).  Both advance exactly this
-    state through the same :meth:`fill` choreography, which is what
-    makes their outcomes bit-identical by construction: the kernel
-    only changes *how many Python-level operations* it takes to get
-    here, never the order of cache transactions or PRNG draws.
-
-    The ``cache_cls`` / ``acu_cls`` / ``crg_cls`` hooks let the kernel
-    substitute draw-plan-backed implementations that consume the same
-    per-lane PRNG sequences through precomputed blocks.
-    """
-
-    __slots__ = (
-        "lanes", "il1", "dl1", "llc", "acu", "crgs", "all_mask",
-        "memory_writes", "bus_cycles", "llc_hit_latency", "memory_cycles",
-    )
-
-    def __init__(self, plan: "_TemplatePlan", triples: Sequence[tuple],
-                 cache_cls, acu_cls, crg_cls) -> None:
-        lanes = len(triples)
-        config = plan.config
-        scenario = plan.scenario
-        core = plan.core
-        nc = config.num_cores
-        seeds = np.array([seed for _index, seed, _attempt in triples],
-                         dtype=np.uint64)
-
-        # build_platform's SplitMix64(run_seed) draw schedule, 1-based:
-        # IL1[c] consumes draws (2c+1, 2c+2), DL1[c] (2nc+2c+1,
-        # 2nc+2c+2), the LLC (4nc+1, 4nc+2), the bus seed 4nc+3
-        # (unused in analysis) and the EFL seed 4nc+4.  SplitMix64 is
-        # counter-based, so only the analysed core's draws are computed.
-        l1_sets = config.l1_geometry.num_sets
-        l1_ways = config.l1_geometry.ways
-        llc_sets = config.llc_geometry.num_sets
-        llc_ways = config.llc_geometry.ways
-        lru = not plan.eom
-
-        def lane_cache(rii_k, rng_k, num_sets, ways, candidates):
-            rng = MWCArray(splitmix64_draw(seeds, rng_k)) if plan.eom else None
-            matrix = plan._sets_matrix(
-                splitmix64_draw(seeds, rii_k), num_sets, lanes
-            )
-            return cache_cls(lanes, num_sets, ways, candidates, matrix, rng, lru)
-
-        self.lanes = lanes
-        self.il1 = lane_cache(2 * core + 1, 2 * core + 2, l1_sets, l1_ways,
-                              l1_ways)
-        self.dl1 = lane_cache(2 * nc + 2 * core + 1, 2 * nc + 2 * core + 2,
-                              l1_sets, l1_ways, l1_ways)
-        self.llc = lane_cache(4 * nc + 1, 4 * nc + 2, llc_sets, llc_ways,
-                              plan.llc_candidates)
-
-        self.acu = None
-        self.crgs: List[object] = []
-        if scenario.mechanism == "efl":
-            # EFLController's inner SplitMix64(efl_seed): ACU seeds for
-            # cores 0..nc-1 first, then CRG seeds for the interfering
-            # cores in core order.
-            efl_seeds = splitmix64_draw(seeds, 4 * nc + 4)
-            mid = scenario.mid
-            randomise = scenario.randomise_mid
-            self.acu = acu_cls(
-                mid, randomise,
-                MWCArray(splitmix64_draw(efl_seeds, core + 1)), lanes,
-            )
-            position = 0
-            for other in range(nc):
-                if other == core:
-                    continue
-                position += 1
-                self.crgs.append(crg_cls(
-                    mid, randomise,
-                    MWCArray(splitmix64_draw(efl_seeds, nc + position)),
-                    llc_sets, lanes,
-                ))
-
-        self.memory_writes = xp.zeros(lanes, dtype=np.int64)
-        self.all_mask = xp.ones(lanes, dtype=bool)
-        self.bus_cycles = plan.bus_cycles
-        self.llc_hit_latency = plan.llc_hit_latency
-        self.memory_cycles = plan.memory_cycles
-
-    def fill(self, line_id: int, issue: np.ndarray,
-             mask: np.ndarray) -> np.ndarray:
-        """``MemoryPath.fill`` (analysis mode) for the masked lanes.
-
-        Hit/miss/read accounting is NOT accumulated here: the LLC is
-        probed only through this path, so its own demand counters are
-        the path stats — :meth:`_finalise` reads them off the cache,
-        and each fill pays only the compact dirty-victim update.
-        """
-        arrival = issue + self.bus_cycles
-        llc = self.llc
-        for crg in self.crgs:
-            crg.fire_until(arrival, mask, llc)
-        lookup = arrival + self.llc_hit_latency
-        miss, ml, vdirty = llc.demand_compact(line_id, mask, write=False)
-        if miss is None:  # demand saw no miss
-            return lookup
-        if self.acu is not None:
-            grant = self.acu.grant_record(lookup, miss)
-        else:
-            grant = lookup
-        # Dirty LLC victims are posted write-backs (no added latency).
-        if vdirty.any():
-            self.memory_writes[ml[vdirty]] += 1
-        return np.where(miss, grant + self.memory_cycles, lookup)
-
-
-class _TemplatePlan:
-    """One campaign's executable plan: program + scenario constants.
-
-    The expensive trace-derived half lives in a cacheable
-    :class:`~repro.sim.plancache.TraceProgram` (compiled once per
-    ``(trace, config)`` by the :class:`~repro.sim.plancache.PlanCache`
-    and shareable across processes); this class adds the cheap
-    scenario-derived half — CP way restrictions, analysis latency
-    constants, MID — and the lane sweep itself.
-    """
-
-    def __init__(self, config, scenario, core_id: int, program) -> None:
-        self.config = config
-        self.scenario = scenario
-        self.core = core_id
-        self.program = program
-        self.task = program.task
-        self.instructions = program.instructions
-        self.fast_ihits = program.fast_ihits
-        self.fast_dhits = program.fast_dhits
-        self.lines = program.lines
-        nc = config.num_cores
-        if not 0 <= self.core < nc:
-            raise ConfigurationError(f"core_id {self.core} out of range")
-        self.llc_candidates = config.llc_ways
-        if scenario.mechanism == "cp":
-            counts = scenario.ways_per_core
-            if len(counts) != nc:
-                raise ConfigurationError(
-                    f"CP scenario gives {len(counts)} per-core way counts "
-                    f"for a {nc}-core system"
-                )
-            if counts[self.core] > config.llc_ways:
-                raise ConfigurationError(
-                    f"CP partition of {counts[self.core]} ways exceeds the "
-                    f"LLC's {config.llc_ways}"
-                )
-            self.llc_candidates = counts[self.core]
-
-        bus_penalty = config.analysis_bus_penalty
-        if bus_penalty is None:
-            bus_penalty = (nc - 1) * config.bus_latency
-        self.bus_cycles = config.bus_latency + bus_penalty
-        memory_penalty = config.analysis_memory_penalty
-        if memory_penalty is None:
-            memory_penalty = (nc - 1) * config.memory_latency
-        self.memory_cycles = config.memory_latency + memory_penalty
-        self.l1_hit = config.l1_hit_latency
-        self.llc_hit_latency = config.llc_hit_latency
-        self.random_placement = config.placement == "random"
-        self.eom = config.replacement == "eom"
-
-    @classmethod
-    def for_request(
-        cls, request: RunRequest, plan_cache: Optional[PlanCache] = None
-    ) -> "_TemplatePlan":
-        """Build a plan for ``request``, compiling through a plan cache.
-
-        Repeated campaigns over the same ``(trace, config)`` — a
-        PWCETTable sweeping MID values and way counts — hit the cache
-        and skip the trace compile entirely.
-        """
-        cache = plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE
-        program = cache.program(request.traces[0], request.config)
-        return cls(request.config, request.scenario, request.core_id, program)
-
-    @property
-    def steps(self) -> List[tuple]:
-        """Per-instruction ``(fetch_fast, iline, code, arg, store)``
-        tuples (lazily materialised and cached on the program)."""
-        return self.program.steps
-
-    # ------------------------------------------------------------------
-    def _sets_matrix(self, rii_draws: np.ndarray, num_sets: int, lanes: int):
-        """Placement matrix ``[line_id, lane] -> set`` for one cache."""
-        if self.random_placement:
-            riis = rii_draws & _MASK32  # build_platform truncates to _RII_BITS
-            return set_index_array(self.lines[:, None], riis[None, :], num_sets)
-        column = (self.lines % num_sets).astype(np.int64)
-        return np.broadcast_to(column[:, None], (self.lines.shape[0], lanes))
-
-    def execute(self, requests: Sequence[RunRequest]) -> List[RunOutcome]:
-        """Run one lane chunk; one bit-identical outcome per request."""
-        return self.execute_lanes(
-            [(request.index, request.seed, 1) for request in requests]
-        )
-
-    #: Lane-state implementations; the kernel plan substitutes
-    #: draw-plan-backed subclasses (:mod:`repro.sim.kernels`).
-    cache_cls = _LaneCache
-    acu_cls = _LaneACU
-    crg_cls = _LaneCRG
-
-    def _lane_env(self, triples: Sequence[tuple]) -> _LaneEnv:
-        """Fresh lane state (caches, EFL units, counters) for one sweep."""
-        return _LaneEnv(self, triples, self.cache_cls, self.acu_cls,
-                        self.crg_cls)
-
-    def _finalise(
-        self,
-        triples: Sequence[tuple],
-        env: _LaneEnv,
-        end_wb: np.ndarray,
-        started: float,
-    ) -> List[RunOutcome]:
-        """Package one sweep's lane state into per-run outcomes."""
-        il1, dl1, llc, acu = env.il1, env.dl1, env.llc, env.acu
-        wall_each = (perf_counter() - started) / env.lanes
-        scenario_label = self.scenario.label()
-        core = self.core
-        outcomes = []
-        for lane, (index, seed, attempt) in enumerate(triples):
-            result = RunResult(
-                scenario_label=scenario_label,
-                mode=self.scenario.mode,
-                cores=[
-                    CoreResult(
-                        core=core,
-                        task=self.task,
-                        cycles=int(end_wb[lane]),
-                        instructions=self.instructions,
-                        il1_misses=int(il1.misses[lane]),
-                        il1_accesses=int(il1.hits[lane] + il1.misses[lane])
-                        + self.fast_ihits,
-                        dl1_misses=int(dl1.misses[lane]),
-                        dl1_accesses=int(dl1.hits[lane] + dl1.misses[lane])
-                        + self.fast_dhits,
-                        efl_stall_cycles=int(acu.stall[lane]) if acu else 0,
-                        efl_evictions=int(acu.evictions[lane]) if acu else 0,
-                    )
-                ],
-                llc_hits=int(llc.hits[lane]),
-                llc_misses=int(llc.misses[lane]),
-                llc_forced_evictions=int(llc.forced[lane]),
-                # Every LLC miss through the fill path is one memory
-                # read, so the miss counter doubles as the read count.
-                memory_reads=int(llc.misses[lane]),
-                memory_writes=int(env.memory_writes[lane]),
-                profile=None,
-            )
-            outcomes.append(
-                RunOutcome(
-                    index=index,
-                    seed=seed,
-                    result=result,
-                    error=None,
-                    wall_time_s=wall_each,
-                    attempts=attempt,
-                    checksum=result_checksum(index, seed, result),
-                )
-            )
-        return outcomes
-
-    def execute_lanes(self, triples: Sequence[tuple]) -> List[RunOutcome]:
-        """Run one lane chunk of ``(index, seed, attempt)`` triples.
-
-        The triple form is what the pool's wave dispatch ships to shard
-        workers; ``attempt`` is carried through to the outcome so retry
-        accounting survives the batch path.
-        """
-        started = perf_counter()
-        lanes = len(triples)
-        env = self._lane_env(triples)
-        il1, dl1, llc = env.il1, env.dl1, env.llc
-        all_mask = env.all_mask
-        fill = env.fill
-        memory_writes = env.memory_writes
-        l1_hit = self.l1_hit
-
-        # Pipeline state: five per-lane time vectors, exactly the five
-        # scalars InOrderPipeline keeps, plus the single miss port.
-        end_fetch = xp.zeros(lanes, dtype=np.int64)
-        start_decode = xp.zeros(lanes, dtype=np.int64)
-        start_mem = xp.zeros(lanes, dtype=np.int64)
-        start_wb = xp.zeros(lanes, dtype=np.int64)
-        end_wb = xp.zeros(lanes, dtype=np.int64)
-        port_free = xp.zeros(lanes, dtype=np.int64)
-        start_fetch = xp.zeros(lanes, dtype=np.int64)
-        end_decode = xp.zeros(lanes, dtype=np.int64)
-        end_mem = xp.zeros(lanes, dtype=np.int64)
-
-        for fetch_fast, iline, mem_code, mem_arg, is_store in self.steps:
-            # Fetch (latch frees when the previous instruction decoded).
-            np.maximum(end_fetch, start_decode, out=start_fetch)
-            if fetch_fast:
-                np.add(start_fetch, l1_hit, out=end_fetch)
-            else:
-                _hit, miss, _v, _d = il1.demand(iline, all_mask, write=False)
-                np.add(start_fetch, l1_hit, out=end_fetch)
-                if miss.any():
-                    issue = np.maximum(start_fetch, port_free)
-                    done = fill(iline, issue, miss)
-                    np.copyto(port_free, done, where=miss)
-                    np.copyto(end_fetch, done, where=miss)
-            # Decode: 1 cycle behind the previous memory-stage entry.
-            np.maximum(end_fetch, start_mem, out=start_decode)
-            np.add(start_decode, 1, out=end_decode)
-            # Memory / execute.
-            np.maximum(end_decode, start_wb, out=start_mem)
-            if mem_code == 0:
-                np.add(start_mem, mem_arg, out=end_mem)
-            elif mem_code == 1:
-                np.add(start_mem, l1_hit, out=end_mem)
-            else:
-                _hit, miss, vids, vdirty = dl1.demand(mem_arg, all_mask, is_store)
-                np.add(start_mem, l1_hit, out=end_mem)
-                if miss.any():
-                    issue = np.maximum(start_mem, port_free)
-                    done = fill(mem_arg, issue, miss)
-                    np.copyto(port_free, done, where=miss)
-                    np.copyto(end_mem, done, where=miss)
-                    dirty_victims = miss & vdirty
-                    if dirty_victims.any():
-                        resident = llc.writeback(vids, dirty_victims)
-                        memory_writes += dirty_victims & ~resident
-            # Write-back: 1 cycle, in order.
-            np.maximum(end_mem, end_wb, out=start_wb)
-            np.add(start_wb, 1, out=end_wb)
-
-        return self._finalise(triples, env, end_wb, started)
 
 
 def _batch_obstacle(requests: Sequence[RunRequest]) -> Optional[str]:
@@ -701,7 +77,7 @@ def _batch_obstacle(requests: Sequence[RunRequest]) -> Optional[str]:
 
 
 class BatchBackend(ExecutionBackend):
-    """Lock-step NumPy execution of homogeneous analysis campaigns.
+    """Lock-step kernel-engine execution of homogeneous analysis campaigns.
 
     Implements the :class:`~repro.sim.backend.ExecutionBackend`
     protocol, so campaigns, checkpointing, observers and
@@ -709,13 +85,13 @@ class BatchBackend(ExecutionBackend):
     Requests must share one template (trace, config, scenario) and be
     analysis-mode isolation runs; anything else is delegated to
     ``fallback`` (default: a fresh :class:`SerialBackend`), or — with
-    ``strict=True``, the CLI's ``--engine batch`` contract — rejected
+    ``strict=True``, the CLI's ``--engine kernel`` contract — rejected
     with a :class:`~repro.errors.ConfigurationError` naming the reason.
 
     ``max_lanes`` bounds the lane width of one sweep (memory: the LLC
-    tag/dirty planes are ``lanes * sets * ways`` entries); larger
-    campaigns run as consecutive chunks, which is still bit-identical
-    because lanes never interact.
+    tag planes are ``lanes * sets * ways`` entries); larger campaigns
+    run as consecutive chunks, which is still bit-identical because
+    lanes never interact.
     """
 
     #: One sweep serves the whole request batch: adaptive campaigns
@@ -728,11 +104,10 @@ class BatchBackend(ExecutionBackend):
         strict: bool = False,
         max_lanes: int = 1024,
         plan_cache: Optional[PlanCache] = None,
-        kernel: bool = False,
     ) -> None:
         if max_lanes < 1:
             raise ConfigurationError(
-                f"batch engine needs max_lanes >= 1, got {max_lanes}"
+                f"kernel engine needs max_lanes >= 1, got {max_lanes}"
             )
         self.fallback = fallback if fallback is not None else SerialBackend()
         self.strict = strict
@@ -740,20 +115,7 @@ class BatchBackend(ExecutionBackend):
         self.plan_cache = (
             plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE
         )
-        self.kernel = kernel
-        self.name = "kernel" if kernel else "batch"
-
-    def _plan_for(self, request: RunRequest) -> _TemplatePlan:
-        """The sweep plan for one request: interpreter or kernel."""
-        if self.kernel:
-            from repro.sim.kernels import KernelTemplatePlan
-
-            return KernelTemplatePlan.for_request(request, self.plan_cache)
-        return _TemplatePlan.for_request(request, self.plan_cache)
-
-    def _ineligibility(self, requests: Sequence[RunRequest]) -> Optional[str]:
-        """Why this request batch cannot run vectorised (None if it can)."""
-        return _batch_obstacle(requests)
+        self.name = "kernel"
 
     def _delegate(
         self,
@@ -764,7 +126,7 @@ class BatchBackend(ExecutionBackend):
         self.name = self.fallback.name
         if observer is not None:
             observer.on_message(
-                f"batch engine unavailable ({reason}); "
+                f"kernel engine unavailable ({reason}); "
                 f"falling back to the {self.fallback.name} backend"
             )
         return self.fallback.execute(requests, observer=observer)
@@ -777,20 +139,29 @@ class BatchBackend(ExecutionBackend):
         requests = list(requests)
         if not requests:
             return []
-        reason = self._ineligibility(requests)
+        reason = _batch_obstacle(requests)
         if reason is not None:
             if self.strict:
                 raise ConfigurationError(
-                    f"batch engine cannot run this campaign: {reason}"
+                    f"kernel engine cannot run this campaign: {reason}"
                 )
             return self._delegate(requests, observer, reason)
         try:
-            plan = self._plan_for(requests[0])
+            plan = KernelTemplatePlan.for_request(requests[0], self.plan_cache)
         except Exception as exc:  # noqa: BLE001 — scalar engine decides
             if self.strict:
                 raise
             return self._delegate(requests, observer, str(exc))
-        self.name = "kernel" if self.kernel else "batch"
+        return self._run_plan(plan, requests, observer)
+
+    def _run_plan(
+        self,
+        plan: KernelTemplatePlan,
+        requests: Sequence[RunRequest],
+        observer: Optional[RunObserver] = None,
+    ) -> List[RunOutcome]:
+        """Sweep eligible ``requests`` through an already-resolved plan."""
+        self.name = "kernel"
         telemetry = current_telemetry()
         outcomes: List[RunOutcome] = []
         for begin in range(0, len(requests), self.max_lanes):
@@ -815,7 +186,7 @@ class BatchBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# sharded batch: lock-step lanes inside the process pool's wave dispatch
+# sharded kernel: lock-step lanes inside the process pool's wave dispatch
 # ----------------------------------------------------------------------
 def shard_lanes(
     jobs: Sequence[tuple],
@@ -856,7 +227,7 @@ def shard_lanes(
 
 @dataclass(frozen=True)
 class _ShardHandle:
-    """Everything a shard worker needs to rebuild its ``_TemplatePlan``.
+    """Everything a shard worker needs to rebuild its kernel plan.
 
     Pickled once per worker at pool bootstrap.  The heavy trace arrays
     travel as a :class:`~repro.sim.plancache.SharedProgramHandle`
@@ -868,26 +239,18 @@ class _ShardHandle:
     scenario: object
     core_id: int
     program: SharedProgramHandle
-    kernel: bool = False
 
-    def materialise(self) -> _TemplatePlan:
-        attached = self.program.attach()
-        if self.kernel:
-            from repro.sim.kernels import KernelTemplatePlan
-
-            # The kernel plan recompiles worker-side from the attached
-            # program: the compile is a single cheap pass over the step
-            # arrays, far below the cost of shipping the op list.
-            return KernelTemplatePlan(
-                self.config, self.scenario, self.core_id, attached
-            )
-        return _TemplatePlan(self.config, self.scenario, self.core_id,
-                             attached)
+    def materialise(self) -> KernelTemplatePlan:
+        # The kernel plan recompiles worker-side from the attached
+        # program: the compile is a single cheap pass over the step
+        # arrays, far below the cost of shipping the op list.
+        return KernelTemplatePlan(self.config, self.scenario, self.core_id,
+                                  self.program.attach())
 
 
 # Worker-side state of ShardedBatchBackend: the materialised plan,
 # built once per worker from the shared-memory handle at bootstrap.
-_WORKER_PLAN: Optional[_TemplatePlan] = None
+_WORKER_PLAN: Optional[KernelTemplatePlan] = None
 
 
 def _bootstrap_shard_worker(handle: _ShardHandle, fault_plan=None) -> None:
@@ -940,11 +303,11 @@ def _run_shard(triples: Sequence[tuple]) -> List[RunOutcome]:
 
 
 class ShardedBatchBackend(ProcessPoolBackend):
-    """Multi-core lane sharding: batch sweeps inside the wave dispatch.
+    """Multi-core lane sharding: kernel sweeps inside the wave dispatch.
 
     Partitions a campaign's lanes into deterministic contiguous shards
     (:func:`shard_lanes`) and executes each shard with the lock-step
-    ``_TemplatePlan`` sweep inside :class:`ProcessPoolBackend`'s wave
+    kernel sweep inside :class:`ProcessPoolBackend`'s wave
     machinery — inheriting its retry policy, progress watchdog, hard
     worker-death detection and checksum re-verification.  The compiled
     plan's arrays travel to workers zero-copy through one
@@ -954,18 +317,19 @@ class ShardedBatchBackend(ProcessPoolBackend):
     Bit-identity holds by construction: lanes never interact, each
     lane's PRNG streams derive from its own run seed, and a retried
     shard re-executes the same pure ``(plan, index, seed)`` functions
-    — so samples, records, checksums and seeds equal single-process
-    batch, which equals scalar.
+    — so samples, records, checksums and seeds equal the
+    single-process kernel engine, which equals scalar.
 
     Eligibility matches :class:`BatchBackend` (homogeneous
     analysis-mode campaigns); ``strict=True`` (the CLI's
-    ``--engine sharded`` contract) rejects ineligible work with a
-    :class:`~repro.errors.ConfigurationError`, otherwise it falls back
-    to serial execution.  On a single usable CPU the pool degrades to
-    the in-process batch engine unless ``force_pool=True``.
+    ``--engine kernel --workers N`` contract) rejects ineligible work
+    with a :class:`~repro.errors.ConfigurationError`, otherwise it
+    falls back to serial execution.  One worker, a one-run campaign or
+    a single usable CPU (unless ``force_pool=True``) runs the plan
+    in-process instead.
     """
 
-    #: Shards amortise dispatch like the in-process batch engine.
+    #: Shards amortise dispatch like the in-process kernel engine.
     amortised_dispatch = True
 
     def __init__(
@@ -979,7 +343,6 @@ class ShardedBatchBackend(ProcessPoolBackend):
         strict: bool = False,
         plan_cache: Optional[PlanCache] = None,
         max_lanes: int = 1024,
-        kernel: bool = False,
     ) -> None:
         if workers is None:
             workers = usable_cpus()
@@ -993,14 +356,13 @@ class ShardedBatchBackend(ProcessPoolBackend):
         )
         if max_lanes < 1:
             raise ConfigurationError(
-                f"sharded batch engine needs max_lanes >= 1, got {max_lanes}"
+                f"sharded kernel engine needs max_lanes >= 1, got {max_lanes}"
             )
         self.strict = strict
         self.plan_cache = (
             plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE
         )
         self.max_lanes = max_lanes
-        self.kernel = kernel
         self.name = f"sharded[{workers}]"
         self._shard_template: Optional[_ShardHandle] = None
 
@@ -1025,7 +387,7 @@ class ShardedBatchBackend(ProcessPoolBackend):
     ) -> List[RunOutcome]:
         if observer is not None:
             observer.on_message(
-                f"sharded batch engine unavailable ({reason}); "
+                f"sharded kernel engine unavailable ({reason}); "
                 f"falling back to the serial backend"
             )
         serial = SerialBackend(retry=self.retry)
@@ -1047,19 +409,20 @@ class ShardedBatchBackend(ProcessPoolBackend):
         if reason is not None:
             if self.strict:
                 raise ConfigurationError(
-                    f"sharded batch engine cannot run this campaign: {reason}"
+                    f"sharded kernel engine cannot run this campaign: {reason}"
                 )
             return self._delegate_scalar(requests, observer, reason)
         try:
-            plan = _TemplatePlan.for_request(requests[0], self.plan_cache)
+            plan = KernelTemplatePlan.for_request(requests[0], self.plan_cache)
         except Exception as exc:  # noqa: BLE001 — scalar engine decides
             if self.strict:
                 raise
             return self._delegate_scalar(requests, observer, str(exc))
         if (self.workers == 1 or len(requests) == 1
                 or self._degrades(requests, observer)):
-            # One shard is just the batch engine; run it in-process
-            # (chaos plans stay per-run serial, as batch requires).
+            # One shard is just the kernel engine: run the resolved
+            # plan in-process (chaos plans stay per-run serial, as the
+            # kernel engine requires).
             if self.fault_plan is not None:
                 serial = SerialBackend(retry=self.retry)
                 with installed_fault_plan(self.fault_plan):
@@ -1069,16 +432,14 @@ class ShardedBatchBackend(ProcessPoolBackend):
                 strict=self.strict,
                 max_lanes=self.max_lanes,
                 plan_cache=self.plan_cache,
-                kernel=self.kernel,
             )
-            return inner.execute(requests, observer)
+            return inner._run_plan(plan, requests, observer)
         shared = SharedProgram.create(plan.program)
         self._shard_template = _ShardHandle(
             config=requests[0].config,
             scenario=requests[0].scenario,
             core_id=requests[0].core_id,
             program=shared.handle,
-            kernel=self.kernel,
         )
         context = multiprocessing.get_context(self.mp_context)
         try:

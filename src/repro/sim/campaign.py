@@ -97,7 +97,7 @@ class CampaignResult:
     #: ``attempts - 1`` over the executed runs).
     retried_runs: int = 0
     #: Plan-cache lookups this campaign answered from / added to the
-    #: cache (batch/sharded engines only; 0/0 for scalar campaigns).
+    #: cache (kernel engine only; 0/0 for scalar campaigns).
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     #: Whether this campaign ran under a streaming-convergence policy.
@@ -266,65 +266,48 @@ def _select_backend(
 ) -> ExecutionBackend:
     """Resolve the (engine, backend, workers) triple to one backend.
 
-    ``auto`` upgrades to a vectorised engine only when the caller kept
+    ``auto`` upgrades to the kernel engine only when the caller kept
     the default execution semantics: no backend, or a plain retry-free
     :class:`SerialBackend` (exact type — subclasses carry their own
-    per-run behaviour and stay scalar).  Within that, it picks the
-    sharded engine when there is real parallelism to win — more than
-    one usable CPU and either an explicit multi-worker request or a
-    campaign of at least :data:`~repro.sim.batch.SHARDED_AUTO_MIN_RUNS`
-    runs — and the single-process grouped-opcode kernel engine
-    otherwise (the kernel is the batch engine's compiled form: same
-    lane state, fewer Python-level operations, bit-identical output).
-    Sharded selections run kernel sweeps inside their workers for the
-    same reason.  The upgrade is safe because every engine re-checks
-    eligibility per request batch and falls back to scalar execution.
+    per-run behaviour and stay scalar).  Within that, it shards the
+    kernel over worker processes when there is real parallelism to
+    win — an explicit multi-worker request, or more than one usable
+    CPU and a campaign of at least
+    :data:`~repro.sim.batch.SHARDED_AUTO_MIN_RUNS` runs — and runs it
+    in-process otherwise.  The upgrade is safe because the kernel
+    backends re-check eligibility per request batch and fall back to
+    scalar execution.
 
-    ``workers`` means *shards* and only composes with the batch /
-    sharded / kernel engines (``--engine kernel --workers N`` is N
-    kernel shards); any other combination is a labelled
-    :class:`ConfigurationError` rather than a silently ignored flag.
+    ``workers`` means *shards* and only composes with the kernel
+    engine (``--engine kernel --workers N`` is N kernel shards); any
+    other combination is a labelled :class:`ConfigurationError` rather
+    than a silently ignored flag.
     """
     if engine not in ENGINE_NAMES:
         names = ", ".join(ENGINE_NAMES)
         raise ConfigurationError(f"unknown engine {engine!r}; expected one of {names}")
-    if engine == "sharded":
-        return ShardedBatchBackend(
-            workers=workers, strict=True, plan_cache=plan_cache
-        )
-    if engine in ("batch", "kernel"):
-        kernel = engine == "kernel"
+    if engine == "kernel":
         if workers is not None and workers != 1:
-            # N shards: the sharded engine is the batch engine's
-            # multi-process form, under the same strict contract.
             return ShardedBatchBackend(
-                workers=workers, strict=True, plan_cache=plan_cache,
-                kernel=kernel,
+                workers=workers, strict=True, plan_cache=plan_cache
             )
         return BatchBackend(fallback=backend, strict=True,
-                            plan_cache=plan_cache, kernel=kernel)
+                            plan_cache=plan_cache)
     default_semantics = backend is None or (
         type(backend) is SerialBackend and backend.retry is None
     )
     if engine == "auto" and default_semantics:
-        if usable_cpus() > 1 and (
-            (workers is not None and workers > 1)
-            or (workers is None and runs is not None
-                and runs >= SHARDED_AUTO_MIN_RUNS)
-        ):
-            return ShardedBatchBackend(workers=workers, plan_cache=plan_cache,
-                                       kernel=True)
-        if workers is None or workers == 1:
-            return BatchBackend(fallback=backend, plan_cache=plan_cache,
-                                kernel=True)
-        # workers > 1 on one CPU: honour the request, let the backend
-        # degrade (with its observer warning) rather than refuse.
-        return ShardedBatchBackend(workers=workers, plan_cache=plan_cache,
-                                   kernel=True)
+        # workers > 1 on one CPU still shards: the backend degrades
+        # (with its observer warning) rather than refuse.
+        if (workers is not None and workers > 1) or (
+                workers is None and runs is not None
+                and runs >= SHARDED_AUTO_MIN_RUNS and usable_cpus() > 1):
+            return ShardedBatchBackend(workers=workers, plan_cache=plan_cache)
+        return BatchBackend(fallback=backend, plan_cache=plan_cache)
     if workers is not None:
         raise ConfigurationError(
-            f"workers={workers} means shard workers and requires the batch "
-            f"or sharded engine; engine {engine!r} with this backend "
+            f"workers={workers} means shard workers and requires the "
+            f"kernel engine; engine {engine!r} with this backend "
             f"executes per-run and takes no shards"
         )
     return backend if backend is not None else SerialBackend()
@@ -459,23 +442,20 @@ def collect_execution_times(
     guard — exceeding it is a deterministic failure, never retried).
 
     ``engine`` picks the run interpreter. ``"auto"`` (default) runs the
-    campaign on the grouped-opcode kernel engine — the
+    campaign on the kernel engine — the
     :class:`~repro.sim.batch.BatchBackend` executing the compiled
     :class:`~repro.sim.kernels.KernelPlan` form of the trace —
     whenever it applies (the campaign is analysis-mode and the caller
     did not hand over a backend with its own per-run semantics:
     process pool, retry policy, fault injection) and falls back to the
     scalar interpreter otherwise; the sample is bit-identical either
-    way.  ``"scalar"`` forces the per-run interpreter; ``"batch"``
-    demands the per-instruction vectorised engine and raises
+    way.  ``"scalar"`` forces the per-run interpreter; ``"kernel"``
+    demands the kernel engine and raises
     :class:`~repro.errors.ConfigurationError` naming the obstacle when
-    the campaign is ineligible, instead of silently falling back;
-    ``"kernel"`` demands the compiled grouped-opcode form under the
-    same strict contract; ``"sharded"`` likewise demands the
-    multi-process sharded batch engine.
+    the campaign is ineligible, instead of silently falling back.
 
-    ``workers`` sets the shard count for the batch/sharded engines
-    (``engine="batch", workers=N`` runs N shards); combining it with a
+    ``workers`` sets the kernel engine's shard count
+    (``engine="kernel", workers=N`` runs N shards); combining it with a
     configuration that cannot shard raises a labelled
     :class:`~repro.errors.ConfigurationError`.  ``plan_cache`` lets
     sweeps reuse compiled trace programs across campaigns; the
@@ -689,13 +669,13 @@ def collect_execution_times(
         pwcet_rtol_achieved=(
             estimator.achieved_rtol if estimator is not None else None
         ),
-        # Compile stats travel only when the kernel engine actually ran
-        # (a batch campaign sharing the cache must not report a stale
-        # kernel plan's fusion as its own); the peek bumps no counters.
+        # Compile stats travel only when the in-process kernel engine
+        # actually ran (a campaign that fell back to scalar must not
+        # report the cached plan's fusion as its own); the peek bumps
+        # no counters.
         kernel_stats=(
             cache.peek_kernel_stats(trace, config)
-            if cache is not None and getattr(backend, "kernel", False)
-            and "kernel" in backend.name else None
+            if cache is not None and backend.name == "kernel" else None
         ),
     )
     if adaptive is not None:

@@ -35,7 +35,7 @@ chaos suite asserts.
 
 Under the :class:`~repro.sim.batch.ShardedBatchBackend` the blast
 radius changes shape but not the contract: a "crash" or "hang" fires
-before its shard's lock-step sweep, so the *whole shard* is lost and
+before its shard's lock-step kernel sweep, so the *whole shard* is lost and
 re-dispatched (each lane's attempt counter advancing), while a
 "corrupt" mutates only its own lane's payload after the integrity
 stamp and is retried alone.  Either way, recovery re-executes pure

@@ -1,15 +1,38 @@
-"""Grouped-opcode kernel plans: a ``TraceProgram`` lowered to fused ops.
+"""The kernel engine: a whole analysis campaign as compiled NumPy lanes.
 
-The batch engine (:mod:`repro.sim.batch`) already turned R scalar runs
-into lock-step NumPy lanes, but its sweep still dispatches one Python
-loop iteration — roughly ten NumPy calls — per trace instruction, and
-its PRNG draws go through generic masked rejection sampling, another
-~15 NumPy calls each.  Profiling an EFL campaign shows those two
-overheads *are* the runtime: the arithmetic on 1000-lane vectors is
-nearly free; the per-call constant cost is not.
+MBPTA's analysis stage re-executes one trace R >= 300-1000 times on a
+freshly randomised single-core platform (§3.3).  The runs are
+structurally identical — same instruction stream, same control flow,
+same memory-path choreography — and differ *only* in their PRNG
+streams.  This module runs all R of them together, each run occupying
+one *lane* of a struct-of-arrays state:
 
-This module compiles a :class:`~repro.sim.plancache.TraceProgram` into
-a **kernel plan** that attacks both:
+* every cache is a packed ``tags[R, sets, ways]`` plane mirroring
+  :class:`repro.mem.cache.Cache` (``-1`` = an invalid frame); under
+  EoM replacement, residency and dirtiness additionally live in
+  ``[line, lane]`` maps, under LRU the recency stacks become timestamp
+  planes (argmin = victim);
+* placement is a precomputed ``sets[line, R]`` matrix: the parametric
+  hash of every distinct trace line under every lane's RII
+  (:func:`repro.utils.hashing.set_index_array`), or one broadcast
+  modulo column for TD;
+* the 4-stage in-order pipeline is a ``[6, R]`` state matrix advanced
+  by the same max/add recurrence as
+  :class:`repro.cpu.pipeline.InOrderPipeline`;
+* EFL is a per-lane ACU (EAB times, stall accumulators) plus the
+  interfering cores' CRGs, whose pending injections drain under a
+  compare-and-advance mask.
+
+The engine's contract is **bit-identity** with
+:class:`~repro.sim.backend.SerialBackend` — execution times, per-run
+cache counters, checksums and seed provenance — for every analysis
+scenario class (TR+EFL, TR isolation, CP, TD), asserted by
+``tests/test_kernel.py``.  Everything it cannot reproduce exactly is
+declared ineligible up front
+(:func:`repro.sim.simulator.batch_ineligibility`) and stays scalar.
+
+A :class:`~repro.sim.plancache.TraceProgram` is compiled into a
+**kernel plan** that keeps the per-lane NumPy call count low:
 
 **1. Max-plus chain fusion (the grouped opcodes).**  Between cache
 accesses, the in-order pipeline's recurrence is a max-plus affine map
@@ -19,13 +42,12 @@ w_j)`` with compile-time constants.  Max-plus maps compose, so a
 maximal run of deterministic phases — fetch-fast-hit streaks,
 non-memory ALU stretches, fast hits to already-resident data lines —
 collapses into **one** precomputed matrix, applied at runtime with a
-single gather + ``np.maximum.reduceat`` regardless of how many
-instructions it fused.  Irreducible steps — IL1 accesses, full DL1
-accesses, and through them the CRG injection points, EoM victim draws
-and first-touch fills — fall back to exactly the interpreter's step
-code over the same :class:`~repro.sim.batch._LaneEnv` lane state.
-Composition is over exact ``int64`` add/max, so fusion cannot change a
-single bit of the result.
+single gather + reduction regardless of how many instructions it
+fused.  Irreducible steps — IL1 accesses, full DL1 accesses, and
+through them the CRG injection points, EoM victim draws and
+first-touch fills — run as access ops over the :class:`_LaneEnv`
+lane state.  Composition is over exact ``int64`` add/max, so fusion
+cannot change a single bit of the result.
 
 **2. Draw-stream linearisation.**  Every hardware PRNG the analysis
 hot path consumes draws with *compile-time-constant parameters*: a
@@ -34,19 +56,20 @@ candidate count, an ACU reload is always ``randint(0, 2*MID)``, a
 CRG's stream alternates ``randrange(num_sets)`` / ``randint(0,
 2*MID)``.  Each lane's draw *sequence* from one generator is therefore
 known ahead of time even though the *schedule* (which step consumes
-the next draw) is not.  The kernel precomputes each stream as a
-``[rank, lane]`` block of full-width unmasked draws and consumes it
-through per-lane cursors — three NumPy calls per draw site instead of
-~15.  Per lane, the values consumed are exactly the values the masked
-on-demand draws would produce (MWC streams are private per lane per
-generator; drawing ahead changes only the generator's final state,
-which nothing observes), so bit-identity is again structural.  A CRG's
-whole firing timeline additionally becomes a cumulative-sum table, so
-its drain loop touches only the shared LLC victim stream at runtime.
+the next draw) is not.  The engine precomputes each stream as a
+``[rank, lane]`` block of full-width draws
+(:meth:`~repro.utils.rng.MWCArray.randrange_block`) and consumes it
+through per-lane cursors.  Per lane, the values consumed are exactly
+the values masked on-demand draws would produce (MWC streams are
+private per lane per generator; drawing ahead changes only the
+generator's final state, which nothing observes), so bit-identity is
+again structural.  A CRG's whole firing timeline additionally becomes
+a cumulative-sum table, so its drain loop touches only the shared LLC
+victim stream at runtime.
 
 An optional Numba ``njit`` path accelerates the chain application when
 numba is importable; the probe degrades silently (pure NumPy) when it
-is not — this container and CI run the NumPy path.
+is not.
 
 Compilation quality is observable: :func:`compile_kernel_plan` bumps
 per-group-class counters (``kernel_steps_fetch_streak``,
@@ -62,15 +85,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.observability import current_telemetry
-from repro.sim.batch import (
-    _LaneACU,
-    _LaneCache,
-    _TemplatePlan,
-)
+from repro.sim.backend import RunOutcome, result_checksum
 from repro.sim.plancache import GLOBAL_PLAN_CACHE, PlanCache
-from repro.utils.rng import MWCArray
-from repro.utils.xp import xp
+from repro.sim.simulator import CoreResult, RunRequest, RunResult
+from repro.utils.hashing import set_index_array
+from repro.utils.rng import MWCArray, splitmix64_draw
 
 #: Kernel state rows: end_fetch, start_decode, start_mem, start_wb,
 #: end_wb, plus the transient end_mem written by DL1-access ops and
@@ -608,20 +629,20 @@ class _DrawCursor:
         self.rng = rng
         self.n = n
         self.lanes = lanes
-        self._ids = xp.arange(lanes)
-        self._block = xp.empty((0, lanes), dtype=np.int64)
-        self._cursor = xp.zeros(lanes, dtype=np.int64)
+        self._ids = np.arange(lanes)
+        self._block = np.empty((0, lanes), dtype=np.int64)
+        self._cursor = np.zeros(lanes, dtype=np.int64)
         self._countdown = 0
         self._grow(initial_rows)
 
     def _grow(self, rows: int) -> None:
         # One block draw: bit-identical to `rows` successive
-        # randrange_unmasked calls, at a fraction of the call count.
+        # full-width randrange calls, at a fraction of the call count.
         # The draw lands directly in the grown block (typed int64 by
         # the destination) — no temporary, no cast pass.
         old = self._block
         filled = old.shape[0]
-        grown = xp.empty((filled + rows, self.lanes), dtype=np.int64)
+        grown = np.empty((filled + rows, self.lanes), dtype=np.int64)
         grown[:filled] = old
         self.rng.randrange_block(self.n, rows, out=grown[filled:])
         self._block = grown
@@ -705,28 +726,60 @@ class _DrawCursor:
         return out
 
 
-class _KernelCache(_LaneCache):
-    """:class:`_LaneCache` with victim draws from a linearised stream
-    and, under EoM replacement, a line-residency map.
+class _KernelCache:
+    """One cache level across all lanes: ``tags[lanes, sets, ways]`` SoA.
 
-    Every victim draw of one cache is ``randrange(k)`` for the cache's
-    fixed candidate count, in the same per-lane order the base class
-    consumes it — demand misses and CRG forced evictions interleave
-    identically, they just read a precomputed block.
+    Mirrors :class:`repro.mem.cache.Cache` exactly on the transactions
+    the analysis hot path uses: demand access (hit bookkeeping, EoM /
+    LRU victim choice, write-allocate fill), CRG forced eviction and
+    the posted L1 write-back update.  ``candidates`` restricts victim
+    choice and lookup to the first ``candidates`` ways — the
+    contiguous partition :func:`repro.sim.platform.build_platform`
+    materialises for CP analysis.
 
-    Under EoM (no LRU stamps) the hit test also changes shape: each
-    line occupies at most one fixed ``(set, way)`` frame per lane, so
-    residency and dirtiness live in ``[line, lane]`` boolean maps and
-    a demand hit is one row read instead of a ``(lanes, ways)`` tag
+    Under EoM every victim draw is ``randrange(k)`` for the fixed
+    candidate count, consumed from a linearised :class:`_DrawCursor`
+    stream in the scalar per-lane order (demand misses and CRG forced
+    evictions interleave identically).  The hit test changes shape
+    too: each line occupies at most one ``(set, way)`` frame per lane,
+    so residency and dirtiness live in ``[line, lane]`` boolean maps
+    and a demand hit is one row read instead of a ``(lanes, ways)`` tag
     gather + compare.  The ``tags`` planes stay authoritative for
     victim identity (what a fill or forced eviction displaces); the
-    maps mirror them.  LRU caches keep the base-class behaviour — the
-    stamp planes need the full frame view.
+    maps mirror them.
+
+    Under LRU the recency stacks are timestamp planes and every
+    transaction works on the full frame view (the ``_lru_*`` methods).
     """
 
-    def __init__(self, lanes, num_sets, ways, candidates, sets, rng,
-                 lru) -> None:
-        super().__init__(lanes, num_sets, ways, candidates, sets, rng, lru)
+    def __init__(
+        self,
+        lanes: int,
+        num_sets: int,
+        ways: int,
+        candidates: int,
+        sets: np.ndarray,
+        rng: Optional[MWCArray],
+        lru: bool,
+    ) -> None:
+        self.lanes = lanes
+        self.ways = ways
+        self.k = candidates
+        self.sets = sets  # [lines, lanes]
+        self.tags = np.full((lanes, num_sets, ways), -1, dtype=np.int32)
+        self.hits = np.zeros(lanes, dtype=np.int64)
+        self.misses = np.zeros(lanes, dtype=np.int64)
+        # Write-back probe hits live apart from demand hits: the LLC's
+        # reported per-run hit counts are demand hits only (matching
+        # the scalar oracle), so keeping ``hits`` demand-pure lets the
+        # sweep read them off the cache.
+        self.wb_hits = np.zeros(lanes, dtype=np.int64)
+        self.forced = np.zeros(lanes, dtype=np.int64)
+        self._lane_ids = np.arange(lanes)
+        self._full = np.ones(lanes, dtype=bool)
+        self._accesses = 0
+        # EoM with a single candidate draws nothing (the scalar path
+        # skips the draw); LRU caches carry no generator at all.
         self._draws = (
             _DrawCursor(rng, candidates, lanes)
             if rng is not None and candidates > 1 else None
@@ -735,46 +788,45 @@ class _KernelCache(_LaneCache):
             self._res = None
             self._line_dirty = None
             self._res_count = None
-        else:
-            # One spare row past the real lines: victim tag -1 (an
-            # empty frame) fancy-indexes the dummy row, so eviction
-            # scatters and the dirty-victim gather need no validity
-            # filtering.  Nothing ever writes True there — the
-            # residency clear writes False, and dirty writes only
-            # target real (resident) lines — so a dummy-row read is
-            # always the empty frame's correct answer: not resident,
-            # not dirty.
-            self._res = xp.zeros((sets.shape[0] + 1, lanes), dtype=bool)
-            self._line_dirty = xp.zeros(
-                (sets.shape[0] + 1, lanes), dtype=bool)
-            # Per-line resident-lane tally, kept exactly equal to
-            # ``_res.sum(axis=1)``: the all-lanes-resident test — the
-            # segment guard and the demand_full fast path — becomes a
-            # scalar compare instead of a [lanes] row reduction.  The
-            # LLC opts out (see execute_lanes): it is never probed
-            # all-lanes, and its forced-eviction drain would pay
-            # scatter-subtract upkeep for nothing.
-            self._res_count = xp.zeros(sets.shape[0], dtype=np.int64)
-        self._full = xp.ones(lanes, dtype=bool)
-        self._accesses = 0
-        # Reused _miss_fill outputs: callers consume them before the
-        # next access, so one buffer pair per cache suffices.
-        self._vid_buf = xp.empty(lanes, dtype=np.int64)
-        self._vdirty_buf = xp.empty(lanes, dtype=bool)
+            self.dirty = np.zeros((lanes, num_sets, ways), dtype=bool)
+            # LRU stacks as timestamp planes: stack position maps to
+            # stamp order (front = max).  Initial stack [0..w-1] means
+            # way w starts at stamp -(w+1); hits/fills stamp from a
+            # growing positive counter, invalidations from a shrinking
+            # counter below every initial stamp, so argmin over a
+            # set's stamps is exactly LRUReplacement.choose_victim.
+            self.stamps = np.broadcast_to(
+                -(np.arange(ways, dtype=np.int64) + 1), (lanes, num_sets, ways)
+            ).copy()
+            self._pos_stamp = 0
+            self._neg_stamp = -(ways + 1)
+            return
+        self.stamps = None
+        # One spare row past the real lines: victim tag -1 (an empty
+        # frame) fancy-indexes the dummy row, so eviction scatters and
+        # the dirty-victim gather need no validity filtering.  Nothing
+        # ever writes True there — the residency clear writes False,
+        # and dirty writes only target real (resident) lines — so a
+        # dummy-row read is always the empty frame's correct answer:
+        # not resident, not dirty.
+        self._res = np.zeros((sets.shape[0] + 1, lanes), dtype=bool)
+        self._line_dirty = np.zeros((sets.shape[0] + 1, lanes), dtype=bool)
+        # Per-line resident-lane tally, kept exactly equal to
+        # ``_res.sum(axis=1)``: the all-lanes-resident test — the
+        # segment guard and the demand_full fast path — becomes a
+        # scalar compare instead of a [lanes] row reduction.  The LLC
+        # opts out (see execute_lanes): it is never probed all-lanes,
+        # and its forced-eviction drain would pay scatter-subtract
+        # upkeep for nothing.
+        self._res_count = np.zeros(sets.shape[0], dtype=np.int64)
 
-    def _victims(self, set_idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        if self._draws is not None:
-            return self._draws.take(mask)
-        return super()._victims(set_idx, mask)
-
+    # -- EoM: residency maps and linearised victim draws ----------------
     def _miss_fill(self, line_id: int, miss: np.ndarray, write: bool):
         """Victim choice + displace + fill for the missed lanes.
 
         Displaced victims come back in *compact* form, aligned with
         the missed lanes: ``(lanes, lines, dirty)`` where ``lines`` is
-        ``-1`` for frames that were empty.  The hot consumers (the
-        kernel op loop's write-back probe) stay in compact space; only
-        the masked :meth:`demand` path expands to lane width.
+        ``-1`` for frames that were empty.
         """
         set_idx = self.sets[line_id]
         # One nonzero + fancy gathers: cheaper than compressing three
@@ -784,7 +836,7 @@ class _KernelCache(_LaneCache):
         if self._draws is not None:
             mw = self._draws.take_at(ml)
         else:
-            mw = self._victims(set_idx, miss)[ml]
+            mw = np.zeros(ml.shape[0], dtype=np.int64)
         vt = self.tags[ml, ms, mw]
         count = self._res_count
         # Victim tag -1 (empty frame) indexes the spare dummy row of
@@ -806,36 +858,17 @@ class _KernelCache(_LaneCache):
             count[line_id] += ml.shape[0]
         return ml, vt, dirty_small
 
-    def demand(self, line_id: int, mask: np.ndarray, write: bool):
-        if self._res is None:
-            return super().demand(line_id, mask, write)
-        row = self._res[line_id]
-        hit = row & mask
-        miss = mask ^ hit  # hit ⊆ mask, so xor is mask & ~hit
-        self.hits += hit
-        self.misses += miss
-        if write:
-            dirty_row = self._line_dirty[line_id]
-            np.logical_or(dirty_row, hit, out=dirty_row)
-        if not miss.any():
-            return hit, miss, None, None
-        ml, vt, dirty_small = self._miss_fill(line_id, miss, write)
-        victim_ids = self._vid_buf
-        victim_ids.fill(-1)
-        victim_ids[ml] = vt
-        victim_dirty = self._vdirty_buf
-        victim_dirty.fill(False)
-        victim_dirty[ml] = dirty_small
-        return hit, miss, victim_ids, victim_dirty
-
     def demand_compact(self, line_id: int, mask: np.ndarray, write: bool):
-        """Compact-victim demand without the full-width buffer pass.
+        """Demand access of one trace line across the masked lanes.
 
-        Same contract as the base class; the EoM residency-map probe
-        hands :meth:`_miss_fill`'s compact victims straight through.
+        Returns ``(miss, miss_lanes, victim_dirty)`` where the last two
+        are aligned compact vectors over the missed lanes, or ``(None,
+        None, None)`` when every probed lane hit — the fill path needs
+        only the dirty victims' lane ids.
         """
         if self._res is None:
-            return super().demand_compact(line_id, mask, write)
+            miss, ml, _vt, vdirty = self._lru_demand(line_id, mask, write)
+            return miss, ml, vdirty
         row = self._res[line_id]
         hit = row & mask
         miss = mask ^ hit  # hit ⊆ mask, so xor is mask & ~hit
@@ -854,23 +887,17 @@ class _KernelCache(_LaneCache):
 
         Returns ``(miss, victim_lanes, victim_lines, victim_dirty)``
         with the victims compact (see :meth:`_miss_fill`), all
-        ``None`` when every lane hit.  Hit counting is deferred: the
-        access count is a compile-time constant per sweep, so
-        :meth:`finalise_counters` derives ``hits = accesses - misses``
-        once at the end instead of accumulating a vector per access —
-        the all-hit fast path is one scalar residency-count compare.
+        ``None`` when every lane hit.  Under EoM hit counting is
+        deferred: the access count is a compile-time constant per
+        sweep, so :meth:`finalise_counters` derives ``hits = accesses
+        - misses`` once at the end instead of accumulating a vector per
+        access — the all-hit fast path is one scalar residency-count
+        compare.
         """
         if self._res is None:
-            _hit, miss, vids, vdirty = super().demand(
-                line_id, self._full, write
-            )
-            if vids is None:
-                return None, None, None, None
-            ml = self._lane_ids[miss]
-            return miss, ml, vids[miss], vdirty[miss]
+            return self._lru_demand(line_id, self._full, write)
         self._accesses += 1
-        count = self._res_count
-        if count is not None and count[line_id] == self.lanes:
+        if self._res_count[line_id] == self.lanes:
             # All lanes resident — one scalar compare decides the hit,
             # and a write dirties the full row outright.
             if write:
@@ -880,8 +907,6 @@ class _KernelCache(_LaneCache):
         if write:
             dirty_row = self._line_dirty[line_id]
             np.logical_or(dirty_row, row, out=dirty_row)
-        if count is None and row.all():
-            return None, None, None, None
         miss = ~row
         self.misses += miss
         ml, vt, dirty_small = self._miss_fill(line_id, miss, write)
@@ -893,37 +918,19 @@ class _KernelCache(_LaneCache):
             np.subtract(self._accesses, self.misses, out=self.hits)
             self._accesses = 0
 
-    def writeback(self, line_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        if self._res is None:
-            return super().writeback(line_ids, mask)
-        safe = np.where(mask, line_ids, 0)
-        resident = self._res[safe, self._lane_ids]
-        resident &= mask
-        if resident.any():
-            rl = self._lane_ids[resident]
-            self._line_dirty[safe[resident], rl] = True
-            self.wb_hits += resident
-        return resident
-
     def writeback_at(self, line_ids: np.ndarray,
                      lane_ids: np.ndarray) -> np.ndarray:
-        """Compact posted write-back probe: one event per array slot.
+        """Posted dirty-L1-victim update (``MemoryPath.l1_writeback``).
 
-        The kernel op loop hands dirty L1 victims straight through in
-        the compact ``(lines, lanes)`` form :meth:`_miss_fill`
-        produced — at most one victim per lane per access, so the lane
-        ids are distinct and plain fancy-index updates suffice.
+        One event per array slot, in the compact ``(lines, lanes)``
+        form :meth:`demand_full` produced — at most one victim per
+        lane per access, so the lane ids are distinct and plain
+        fancy-index updates suffice.  Returns, per event, whether the
+        line was resident (updated and marked dirty); the caller
+        forwards the rest to memory.
         """
         if self._res is None:
-            # LRU LLC: expand to lane width for the stamp-updating
-            # base-class probe (cold path; EoM is the fused regime).
-            full_ids = self._vid_buf
-            full_ids.fill(0)
-            full_ids[lane_ids] = line_ids
-            mask = self._vdirty_buf
-            mask.fill(False)
-            mask[lane_ids] = True
-            return super().writeback(full_ids, mask)[lane_ids]
+            return self._lru_writeback_at(line_ids, lane_ids)
         resident = self._res[line_ids, lane_ids]
         if resident.any():
             rl = lane_ids[resident]
@@ -939,6 +946,9 @@ class _KernelCache(_LaneCache):
         displace writes constants (``tag = -1``), so within one drain
         only each lane's rank order matters — which the event list
         preserves — and duplicate ``(lane, set, way)`` events commute.
+        As in ``Cache.force_eviction``, the draw and the
+        ``forced_evictions`` count happen even when the chosen frame
+        is invalid.
         """
         self.forced += delta
         if self._draws is not None:
@@ -951,17 +961,111 @@ class _KernelCache(_LaneCache):
         self._res[vt, ev_lanes] = False
         self.tags[ev_lanes, ev_sets, ways] = -1
 
+    # -- LRU: full frame view and timestamp planes ----------------------
+    def _lru_victims(self, set_idx: np.ndarray) -> np.ndarray:
+        """Victim way per lane, mirroring ``LRUReplacement.choose_victim``."""
+        stamps = self.stamps[self._lane_ids, set_idx]
+        if self.k != self.ways:
+            stamps = stamps[:, : self.k]
+        return np.argmin(stamps, axis=1)
 
-class _KernelACU(_LaneACU):
-    """:class:`_LaneACU` with cdc reloads from a linearised stream."""
+    def _stamp_touch(self, l: np.ndarray, s: np.ndarray, w: np.ndarray) -> None:
+        self._pos_stamp += 1
+        self.stamps[l, s, w] = self._pos_stamp
 
-    def __init__(self, mid, randomise, rng, lanes) -> None:
-        super().__init__(mid, randomise, rng, lanes)
+    def _lru_demand(self, line_id: int, mask: np.ndarray, write: bool):
+        """LRU demand access; victims compact as in :meth:`demand_full`."""
+        set_idx = self.sets[line_id]
+        lanes_ = self._lane_ids
+        frames = self.tags[lanes_, set_idx]
+        cand = frames if self.k == self.ways else frames[:, : self.k]
+        match = cand == line_id
+        hit = match.any(axis=1)
+        hit &= mask
+        miss = mask & ~hit
+        self.hits += hit
+        self.misses += miss
+        if hit.any():
+            hw = np.argmax(match, axis=1)
+            hl = lanes_[hit]
+            hs = set_idx[hit]
+            hww = hw[hit]
+            if write:
+                self.dirty[hl, hs, hww] = True
+            self._stamp_touch(hl, hs, hww)
+        if not miss.any():
+            return None, None, None, None
+        vway = self._lru_victims(set_idx)
+        ml = lanes_[miss]
+        ms = set_idx[miss]
+        mw = vway[miss]
+        vt = self.tags[ml, ms, mw].astype(np.int64)
+        vd = self.dirty[ml, ms, mw] & (vt >= 0)
+        self.tags[ml, ms, mw] = line_id
+        self.dirty[ml, ms, mw] = bool(write)
+        self._stamp_touch(ml, ms, mw)
+        return miss, ml, vt, vd
+
+    def _lru_writeback_at(self, line_ids: np.ndarray,
+                          lane_ids: np.ndarray) -> np.ndarray:
+        set_idx = self.sets[line_ids, lane_ids]
+        frames = self.tags[lane_ids, set_idx]
+        cand = frames if self.k == self.ways else frames[:, : self.k]
+        match = cand == line_ids[:, None]
+        resident = match.any(axis=1)
+        if resident.any():
+            hw = np.argmax(match, axis=1)
+            rl = lane_ids[resident]
+            rs = set_idx[resident]
+            rw = hw[resident]
+            self.dirty[rl, rs, rw] = True
+            self.wb_hits[rl] += 1
+            self._stamp_touch(rl, rs, rw)
+        return resident
+
+    def force_evict_at(self, set_idx: np.ndarray, mask: np.ndarray) -> None:
+        """LRU CRG force-miss: victim choice + displace, no allocation.
+
+        Mirrors ``Cache.force_eviction`` → ``_displace``: the
+        ``forced_evictions`` count happens even when the chosen frame
+        is invalid, the LRU demotion only when it was valid.
+        """
+        self.forced += mask
+        vway = self._lru_victims(set_idx)
+        ml = self._lane_ids[mask]
+        ms = set_idx[mask]
+        mw = vway[mask]
+        valid = self.tags[ml, ms, mw] >= 0
+        self.tags[ml, ms, mw] = -1
+        self.dirty[ml, ms, mw] = False
+        if valid.any():
+            self._neg_stamp -= 1
+            self.stamps[ml[valid], ms[valid], mw[valid]] = self._neg_stamp
+
+
+class _KernelACU:
+    """Per-lane EFL Access Control Unit (EAB times and stalls).
+
+    Randomised-MID reloads are ``randint(0, 2*MID)`` draws, consumed
+    from a linearised :class:`_DrawCursor` stream.
+    """
+
+    def __init__(self, mid: int, randomise: bool, rng: MWCArray,
+                 lanes: int) -> None:
+        self.mid = mid
+        self.eab = np.zeros(lanes, dtype=np.int64)
+        self.stall = np.zeros(lanes, dtype=np.int64)
+        self.evictions = np.zeros(lanes, dtype=np.int64)
         self._draws = (
             _DrawCursor(rng, 2 * mid + 1, lanes) if randomise else None
         )
 
     def grant_record(self, now: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """``eviction_grant_time`` + ``record_eviction`` fused.
+
+        Returns the per-lane grant time (valid at masked lanes); the
+        reload draw is consumed only by masked lanes.
+        """
         grant = np.maximum(self.eab, now)
         self.stall += np.where(mask, grant - now, 0)
         self.evictions += mask
@@ -993,14 +1097,14 @@ class _KernelCRG:
         self.rng = rng
         self.num_sets = num_sets
         self.lanes = lanes
-        self._ids = xp.arange(lanes)
+        self._ids = np.arange(lanes)
         if randomise:
             first = rng.randint_inclusive(0, 2 * mid).astype(np.int64)
         else:
-            first = xp.full(lanes, mid, dtype=np.int64)
-        self._sets = xp.empty((0, lanes), dtype=np.int64)
+            first = np.full(lanes, mid, dtype=np.int64)
+        self._sets = np.empty((0, lanes), dtype=np.int64)
         self._times = first[None, :].copy()
-        self._fired = xp.zeros(lanes, dtype=np.int64)
+        self._fired = np.zeros(lanes, dtype=np.int64)
         self.next_time = first.copy()
         self._grow(8)
 
@@ -1012,9 +1116,9 @@ class _KernelCRG:
         # caller, so these whole-block passes are wall time.
         drawn = self._sets.shape[0]
         current = self._times[drawn]
-        grown_sets = xp.empty((drawn + rows, self.lanes), dtype=np.int64)
+        grown_sets = np.empty((drawn + rows, self.lanes), dtype=np.int64)
         grown_sets[:drawn] = self._sets
-        grown_times = xp.empty((drawn + 1 + rows, self.lanes),
+        grown_times = np.empty((drawn + 1 + rows, self.lanes),
                                dtype=np.int64)
         grown_times[:drawn + 1] = self._times
         times_new = grown_times[drawn + 1:]
@@ -1071,7 +1175,7 @@ class _KernelCRG:
         if llc._res is None:
             # LRU LLC: forced evictions demote through a shared stamp
             # counter whose value depends on the round structure, so
-            # replay the base engine's per-round drain exactly.
+            # drain round by round, one eviction per pending lane.
             self._fire_rounds(now, mask, llc, pending)
             return
         fired = self._fired
@@ -1162,7 +1266,7 @@ class _KernelCRGBank(_KernelCRG):
         self.num_sets = first.num_sets
         self._rlanes = first.lanes
         self.lanes = first.lanes * k  # virtual lanes, for _grow
-        self._ids = xp.arange(self.lanes)
+        self._ids = np.arange(self.lanes)
         self._real = np.repeat(np.arange(first.lanes), k)
         # Interleave the private streams and the already-drawn
         # timeline prefixes; per-stream draw sequences are untouched.
@@ -1291,24 +1395,169 @@ def _tiny_chain_apply(op: ChainOp, a: np.ndarray, b: np.ndarray):
     return apply
 
 
+_MASK32 = np.uint64(0xFFFFFFFF)
+
+
+class _LaneEnv:
+    """One sweep's lane state: caches, EFL units and path counters."""
+
+    __slots__ = (
+        "lanes", "il1", "dl1", "llc", "acu", "crgs",
+        "memory_writes", "bus_cycles", "llc_hit_latency", "memory_cycles",
+    )
+
+    def __init__(self, plan: "KernelTemplatePlan",
+                 triples: Sequence[tuple]) -> None:
+        lanes = len(triples)
+        config = plan.config
+        scenario = plan.scenario
+        core = plan.core
+        nc = config.num_cores
+        seeds = np.array([seed for _index, seed, _attempt in triples],
+                         dtype=np.uint64)
+
+        # build_platform's SplitMix64(run_seed) draw schedule, 1-based:
+        # IL1[c] consumes draws (2c+1, 2c+2), DL1[c] (2nc+2c+1,
+        # 2nc+2c+2), the LLC (4nc+1, 4nc+2), the bus seed 4nc+3
+        # (unused in analysis) and the EFL seed 4nc+4.  SplitMix64 is
+        # counter-based, so only the analysed core's draws are computed.
+        l1_sets = config.l1_geometry.num_sets
+        l1_ways = config.l1_geometry.ways
+        llc_sets = config.llc_geometry.num_sets
+        llc_ways = config.llc_geometry.ways
+        lru = not plan.eom
+
+        def lane_cache(rii_k, rng_k, num_sets, ways, candidates):
+            rng = MWCArray(splitmix64_draw(seeds, rng_k)) if plan.eom else None
+            matrix = plan._sets_matrix(
+                splitmix64_draw(seeds, rii_k), num_sets, lanes
+            )
+            return _KernelCache(lanes, num_sets, ways, candidates, matrix,
+                                rng, lru)
+
+        self.lanes = lanes
+        self.il1 = lane_cache(2 * core + 1, 2 * core + 2, l1_sets, l1_ways,
+                              l1_ways)
+        self.dl1 = lane_cache(2 * nc + 2 * core + 1, 2 * nc + 2 * core + 2,
+                              l1_sets, l1_ways, l1_ways)
+        self.llc = lane_cache(4 * nc + 1, 4 * nc + 2, llc_sets, llc_ways,
+                              plan.llc_candidates)
+
+        self.acu = None
+        self.crgs: List[object] = []
+        if scenario.mechanism == "efl":
+            # EFLController's inner SplitMix64(efl_seed): ACU seeds for
+            # cores 0..nc-1 first, then CRG seeds for the interfering
+            # cores in core order.
+            efl_seeds = splitmix64_draw(seeds, 4 * nc + 4)
+            mid = scenario.mid
+            randomise = scenario.randomise_mid
+            self.acu = _KernelACU(
+                mid, randomise,
+                MWCArray(splitmix64_draw(efl_seeds, core + 1)), lanes,
+            )
+            position = 0
+            for other in range(nc):
+                if other == core:
+                    continue
+                position += 1
+                self.crgs.append(_KernelCRG(
+                    mid, randomise,
+                    MWCArray(splitmix64_draw(efl_seeds, nc + position)),
+                    llc_sets, lanes,
+                ))
+            if len(self.crgs) > 1 and not lru:
+                self.crgs = [_KernelCRGBank(self.crgs)]
+
+        self.memory_writes = np.zeros(lanes, dtype=np.int64)
+        self.bus_cycles = plan.bus_cycles
+        self.llc_hit_latency = plan.llc_hit_latency
+        self.memory_cycles = plan.memory_cycles
+
+    def fill(self, line_id: int, issue: np.ndarray,
+             mask: np.ndarray) -> np.ndarray:
+        """``MemoryPath.fill`` (analysis mode) for the masked lanes.
+
+        Hit/miss/read accounting is NOT accumulated here: the LLC is
+        probed only through this path, so its own demand counters are
+        the path stats — :meth:`KernelTemplatePlan._finalise` reads
+        them off the cache, and each fill pays only the compact
+        dirty-victim update.
+        """
+        arrival = issue + self.bus_cycles
+        llc = self.llc
+        for crg in self.crgs:
+            crg.fire_until(arrival, mask, llc)
+        lookup = arrival + self.llc_hit_latency
+        miss, ml, vdirty = llc.demand_compact(line_id, mask, write=False)
+        if miss is None:  # demand saw no miss
+            return lookup
+        if self.acu is not None:
+            grant = self.acu.grant_record(lookup, miss)
+        else:
+            grant = lookup
+        # Dirty LLC victims are posted write-backs (no added latency).
+        if vdirty.any():
+            self.memory_writes[ml[vdirty]] += 1
+        return np.where(miss, grant + self.memory_cycles, lookup)
+
+
 # ----------------------------------------------------------------------
 # the kernel runtime
 # ----------------------------------------------------------------------
-class KernelTemplatePlan(_TemplatePlan):
-    """A :class:`_TemplatePlan` executed through a grouped-opcode plan.
+class KernelTemplatePlan:
+    """One campaign's executable plan: program, kernel plan, constants.
 
-    Same scenario constants, same lane state (via the draw-plan-backed
-    subclasses), same outcome packaging — only the sweep loop differs:
-    it walks the compiled op list instead of the instruction steps.
+    The expensive trace-derived half lives in a cacheable
+    :class:`~repro.sim.plancache.TraceProgram` and its compiled
+    :class:`KernelPlan` (both built once per ``(trace, config)`` by the
+    :class:`~repro.sim.plancache.PlanCache`; the program is shareable
+    across processes).  This class adds the cheap scenario-derived
+    half — CP way restrictions, analysis latency constants, MID — and
+    the lane sweep itself, which walks the compiled op schedule.
     """
-
-    cache_cls = _KernelCache
-    acu_cls = _KernelACU
-    crg_cls = _KernelCRG
 
     def __init__(self, config, scenario, core_id: int, program,
                  kernel_plan: Optional[KernelPlan] = None) -> None:
-        super().__init__(config, scenario, core_id, program)
+        self.config = config
+        self.scenario = scenario
+        self.core = core_id
+        self.program = program
+        self.task = program.task
+        self.instructions = program.instructions
+        self.fast_ihits = program.fast_ihits
+        self.fast_dhits = program.fast_dhits
+        self.lines = program.lines
+        nc = config.num_cores
+        if not 0 <= self.core < nc:
+            raise ConfigurationError(f"core_id {self.core} out of range")
+        self.llc_candidates = config.llc_ways
+        if scenario.mechanism == "cp":
+            counts = scenario.ways_per_core
+            if len(counts) != nc:
+                raise ConfigurationError(
+                    f"CP scenario gives {len(counts)} per-core way counts "
+                    f"for a {nc}-core system"
+                )
+            if counts[self.core] > config.llc_ways:
+                raise ConfigurationError(
+                    f"CP partition of {counts[self.core]} ways exceeds the "
+                    f"LLC's {config.llc_ways}"
+                )
+            self.llc_candidates = counts[self.core]
+
+        bus_penalty = config.analysis_bus_penalty
+        if bus_penalty is None:
+            bus_penalty = (nc - 1) * config.bus_latency
+        self.bus_cycles = config.bus_latency + bus_penalty
+        memory_penalty = config.analysis_memory_penalty
+        if memory_penalty is None:
+            memory_penalty = (nc - 1) * config.memory_latency
+        self.memory_cycles = config.memory_latency + memory_penalty
+        self.l1_hit = config.l1_hit_latency
+        self.llc_hit_latency = config.llc_hit_latency
+        self.random_placement = config.placement == "random"
+        self.eom = config.replacement == "eom"
         self.kernel = (
             kernel_plan if kernel_plan is not None
             else compile_kernel_plan(program, config)
@@ -1316,26 +1565,104 @@ class KernelTemplatePlan(_TemplatePlan):
 
     @classmethod
     def for_request(
-        cls, request, plan_cache: Optional[PlanCache] = None
+        cls, request: RunRequest, plan_cache: Optional[PlanCache] = None
     ) -> "KernelTemplatePlan":
+        """Build a plan for ``request``, compiling through a plan cache.
+
+        Repeated campaigns over the same ``(trace, config)`` — a
+        PWCETTable sweeping MID values and way counts — hit the cache
+        and skip the trace and kernel compiles entirely.  One call
+        resolves both halves: the cache returns the program alongside
+        the kernel plan, so a campaign costs exactly one program
+        hit/miss.
+        """
         cache = plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE
-        # One call resolves both halves: the cache returns the program
-        # alongside the kernel so a kernel campaign costs exactly one
-        # program hit/miss, same as the batch engine (compile-once
-        # accounting is engine-agnostic).
         program, kernel_plan = cache.kernel_plan(
             request.traces[0], request.config, compile_kernel_plan
         )
         return cls(request.config, request.scenario, request.core_id,
                    program, kernel_plan)
 
-    def execute_lanes(self, triples: Sequence[tuple]):
+    def _sets_matrix(self, rii_draws: np.ndarray, num_sets: int, lanes: int):
+        """Placement matrix ``[line_id, lane] -> set`` for one cache."""
+        if self.random_placement:
+            riis = rii_draws & _MASK32  # build_platform truncates to _RII_BITS
+            return set_index_array(self.lines[:, None], riis[None, :], num_sets)
+        column = (self.lines % num_sets).astype(np.int64)
+        return np.broadcast_to(column[:, None], (self.lines.shape[0], lanes))
+
+    def execute(self, requests: Sequence[RunRequest]) -> List[RunOutcome]:
+        """Run one lane chunk; one bit-identical outcome per request."""
+        return self.execute_lanes(
+            [(request.index, request.seed, 1) for request in requests]
+        )
+
+    def _finalise(
+        self,
+        triples: Sequence[tuple],
+        env: _LaneEnv,
+        end_wb: np.ndarray,
+        started: float,
+    ) -> List[RunOutcome]:
+        """Package one sweep's lane state into per-run outcomes."""
+        il1, dl1, llc, acu = env.il1, env.dl1, env.llc, env.acu
+        wall_each = (perf_counter() - started) / env.lanes
+        scenario_label = self.scenario.label()
+        core = self.core
+        outcomes = []
+        for lane, (index, seed, attempt) in enumerate(triples):
+            result = RunResult(
+                scenario_label=scenario_label,
+                mode=self.scenario.mode,
+                cores=[
+                    CoreResult(
+                        core=core,
+                        task=self.task,
+                        cycles=int(end_wb[lane]),
+                        instructions=self.instructions,
+                        il1_misses=int(il1.misses[lane]),
+                        il1_accesses=int(il1.hits[lane] + il1.misses[lane])
+                        + self.fast_ihits,
+                        dl1_misses=int(dl1.misses[lane]),
+                        dl1_accesses=int(dl1.hits[lane] + dl1.misses[lane])
+                        + self.fast_dhits,
+                        efl_stall_cycles=int(acu.stall[lane]) if acu else 0,
+                        efl_evictions=int(acu.evictions[lane]) if acu else 0,
+                    )
+                ],
+                llc_hits=int(llc.hits[lane]),
+                llc_misses=int(llc.misses[lane]),
+                llc_forced_evictions=int(llc.forced[lane]),
+                # Every LLC miss through the fill path is one memory
+                # read, so the miss counter doubles as the read count.
+                memory_reads=int(llc.misses[lane]),
+                memory_writes=int(env.memory_writes[lane]),
+                profile=None,
+            )
+            outcomes.append(
+                RunOutcome(
+                    index=index,
+                    seed=seed,
+                    result=result,
+                    error=None,
+                    wall_time_s=wall_each,
+                    attempts=attempt,
+                    checksum=result_checksum(index, seed, result),
+                )
+            )
+        return outcomes
+
+    def execute_lanes(self, triples: Sequence[tuple]) -> List[RunOutcome]:
+        """Run one lane chunk of ``(index, seed, attempt)`` triples.
+
+        The triple form is what the pool's wave dispatch ships to shard
+        workers; ``attempt`` is carried through to the outcome so retry
+        accounting survives the sharded path.
+        """
         started = perf_counter()
         lanes = len(triples)
-        env = self._lane_env(triples)
+        env = _LaneEnv(self, triples)
         il1, dl1, llc = env.il1, env.dl1, env.llc
-        if len(env.crgs) > 1 and llc._res is not None:
-            env.crgs = [_KernelCRGBank(env.crgs)]
         # Warm repeats pre-draw every linearised stream to the last
         # sweep's high-water mark: one block draw replaces the
         # doubling ladder's repeated grow-and-copy passes.  Recorded
@@ -1364,11 +1691,11 @@ class KernelTemplatePlan(_TemplatePlan):
         memory_writes = env.memory_writes
         l1_hit = self.l1_hit
 
-        state = xp.zeros((N_STATE, lanes), dtype=np.int64)
-        port_free = xp.zeros(lanes, dtype=np.int64)
-        scratch = xp.empty(lanes, dtype=np.int64)
+        state = np.zeros((N_STATE, lanes), dtype=np.int64)
+        port_free = np.zeros(lanes, dtype=np.int64)
+        scratch = np.empty(lanes, dtype=np.int64)
         chain_scratch = (
-            xp.empty((N_STATE, lanes), dtype=np.int64)
+            np.empty((N_STATE, lanes), dtype=np.int64)
             if _NUMBA_CHAIN is not None else None
         )
         # The compile pool collapses the plan's chains to a handful of
@@ -1381,8 +1708,8 @@ class KernelTemplatePlan(_TemplatePlan):
         wide = {}
         fast_apply = {}
         if chain_scratch is None:
-            tiny_a = xp.empty(lanes, dtype=np.int64)
-            tiny_b = xp.empty(lanes, dtype=np.int64)
+            tiny_a = np.empty(lanes, dtype=np.int64)
+            tiny_b = np.empty(lanes, dtype=np.int64)
             for op in self.kernel.chains():
                 oid = id(op)
                 if oid in wide or oid in fast_apply:
@@ -1391,7 +1718,7 @@ class KernelTemplatePlan(_TemplatePlan):
                 if fn is not None:
                     fast_apply[oid] = fn
                 else:
-                    wide[oid] = xp.tile(op.pad_wcol, (1, lanes))
+                    wide[oid] = np.tile(op.pad_wcol, (1, lanes))
         # The LLC is never probed all-lanes and its forced-eviction
         # drain would pay scatter-subtract upkeep per event, so it
         # drops its residency tally; the L1 tallies back the segment
@@ -1449,7 +1776,7 @@ class KernelTemplatePlan(_TemplatePlan):
                     ).max(axis=1)
                 elif kind == "fetch":
                     # Fetch (latch frees when the previous instruction
-                    # decoded) — the interpreter's step, on state rows.
+                    # decoded) — the pipeline's fetch step, on state rows.
                     np.maximum(state[EF], state[SD], out=scratch)
                     if il1_count is not None and \
                             il1_count[op.line] == lanes:

@@ -1,8 +1,8 @@
 """Compile-once trace programs: the cacheable, shareable half of a plan.
 
-The batch engine's ``_TemplatePlan`` (:mod:`repro.sim.batch`) is two
-very different things glued together.  One half is *trace-derived*:
-walking the instruction stream, unifying the instruction/data line-id
+The kernel engine's ``KernelTemplatePlan`` (:mod:`repro.sim.kernels`)
+is two very different things glued together.  One half is
+*trace-derived*: walking the instruction stream, unifying the instruction/data line-id
 space (``np.unique``), precomputing the fast-hit shortcut masks and the
 per-instruction step metadata.  That half is expensive (it touches
 every instruction), depends only on ``(trace, config)``, and is
@@ -49,7 +49,7 @@ SHARED_FIELDS = (
 
 
 class TraceProgram:
-    """The trace- and geometry-derived arrays of one batch plan.
+    """The trace- and geometry-derived arrays of one kernel plan.
 
     Immutable after :meth:`compile`; safe to share between campaigns,
     lane chunks and (via :class:`SharedProgram`) worker processes.
@@ -96,7 +96,7 @@ class TraceProgram:
 
     @classmethod
     def compile(cls, trace, config) -> "TraceProgram":
-        """Compile ``trace`` under ``config`` into a batch program.
+        """Compile ``trace`` under ``config`` into a lane program.
 
         The program depends on the config only through the line size,
         the replacement policy (EoM enables the fast-hit shortcuts)
@@ -175,7 +175,7 @@ class TraceProgram:
     @property
     def steps(self) -> List[tuple]:
         """Per-instruction ``(fetch_fast, iline, code, arg, store)``
-        tuples for the Python-level sweep loop (built lazily, cached).
+        tuples for the kernel compiler (built lazily, cached).
 
         Built from the arrays on both the parent and the worker side,
         so a shared program reconstructs the exact tuples a locally
@@ -327,9 +327,8 @@ class PlanCache:
         on a kernel-plan miss.  The program itself is resolved through
         :meth:`program` and returned alongside the kernel so the
         caller never performs a second program lookup — a kernel
-        campaign costs exactly one program hit/miss, the same as the
-        batch engine's, which is what lets sweeps assert compile-once
-        without knowing which engine ran them.
+        campaign costs exactly one program hit/miss, in-process or
+        sharded, which is what lets sweeps assert compile-once.
         """
         telemetry = current_telemetry()
         program = self.program(trace, config)

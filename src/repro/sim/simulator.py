@@ -609,11 +609,11 @@ class RunRequest:
 
 
 def batch_ineligibility(request: RunRequest) -> Optional[str]:
-    """Why ``request`` cannot run on the lock-step batch engine.
+    """Why ``request`` cannot run on the lock-step kernel engine.
 
     Returns ``None`` when the request is batchable, else a short
-    human-readable reason.  The batch engine
-    (:mod:`repro.sim.batch`) vectorises exactly the paper's analysis
+    human-readable reason.  The kernel engine
+    (:mod:`repro.sim.kernels`) vectorises exactly the paper's analysis
     protocol — one trace alone on one core under composable upper
     bounds — because only there is every run's control flow identical
     across lanes.  Everything else stays on the scalar engine:

@@ -11,7 +11,7 @@ compose with telemetry instead of competing with it.
 
 The observer measures, never decides — attaching it cannot change
 samples, seeds or checksums (the telemetry suite asserts this across
-the scalar, batch and sharded engines).
+the scalar and kernel engines, single-process and sharded).
 
 Metric names emitted here (and by the seams reading
 :func:`~repro.observability.current_telemetry`):

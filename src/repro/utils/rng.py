@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.utils.xp import xp
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -153,7 +152,7 @@ def splitmix64_mix(z: np.ndarray) -> np.ndarray:
     :func:`repro.utils.hashing._mix64`): ``uint64`` arithmetic wraps
     modulo 2**64 exactly like the masked Python-int version.
     """
-    z = xp.asarray(z, dtype=np.uint64)
+    z = np.asarray(z, dtype=np.uint64)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
@@ -165,14 +164,14 @@ def splitmix64_draw(seeds: np.ndarray, k: int) -> np.ndarray:
     SplitMix64 is a counter-based generator: its ``k``-th output
     (1-based) is ``mix(seed + k * GOLDEN_GAMMA)``, so any draw of any
     stream is computable directly, without materialising the ones
-    before it.  The batch engine uses this to reproduce
+    before it.  The kernel engine uses this to reproduce
     :func:`repro.sim.platform.build_platform`'s seed-draw schedule for
     a whole campaign at once, touching only the draws the analysed
     core actually needs.
     """
     if k < 1:
         raise ConfigurationError(f"SplitMix64 draws are 1-based, got draw {k}")
-    seeds = xp.asarray(seeds, dtype=np.uint64)
+    seeds = np.asarray(seeds, dtype=np.uint64)
     return splitmix64_mix(seeds + np.uint64((k * SplitMix64.GOLDEN_GAMMA) & _MASK64))
 
 
@@ -182,17 +181,20 @@ class MWCArray:
     Lane ``i`` is bit-identical to ``MultiplyWithCarry(seeds[i])``:
     the same SplitMix64 seed whitening, the same degenerate-state
     repair, the same ``t = a*x + c`` step (``t < 2**63``, so ``uint64``
-    never wraps) and the same rejection-sampled range reduction.  Every
-    drawing method takes an optional boolean ``mask``; lanes outside
-    the mask consume nothing — their state is untouched — which is how
-    the batch engine keeps per-lane draw sequences identical to the
-    scalar engine even when lanes diverge (some miss, some hit).
+    never wraps) and the same rejection-sampled range reduction.  The
+    on-demand draws take an optional boolean ``mask``; lanes outside
+    the mask consume nothing — their state is untouched.  The block
+    draws (:meth:`randrange_block`, :meth:`randrange_block_pair`)
+    precompute whole per-lane sequences instead; the kernel engine
+    consumes them through per-lane cursors, which keeps each lane's
+    draw sequence identical to the scalar engine's even when lanes
+    diverge (some miss, some hit).
     """
 
     __slots__ = ("_x", "_c")
 
     def __init__(self, seeds: np.ndarray) -> None:
-        seeds = xp.asarray(seeds, dtype=np.uint64)
+        seeds = np.asarray(seeds, dtype=np.uint64)
         x = splitmix64_draw(seeds, 1) & np.uint64(_MASK32)
         c = splitmix64_draw(seeds, 2) % np.uint64(MWC_MULTIPLIER - 1)
         x[(x == np.uint64(0)) & (c == np.uint64(0))] = np.uint64(1)
@@ -231,8 +233,8 @@ class MWCArray:
             raise ConfigurationError(f"randrange() bound must be positive, got {n}")
         limit = np.uint64((0x100000000 // n) * n)
         nn = np.uint64(n)
-        out = xp.zeros(self._x.shape, dtype=np.uint64)
-        pending = xp.ones(self._x.shape, dtype=bool) if mask is None else mask.copy()
+        out = np.zeros(self._x.shape, dtype=np.uint64)
+        pending = np.ones(self._x.shape, dtype=bool) if mask is None else mask.copy()
         while pending.any():
             v = self.next_u32(pending)
             accepted = pending & (v < limit)
@@ -240,31 +242,6 @@ class MWCArray:
                 np.copyto(out, v % nn, where=accepted)
                 pending &= ~accepted
         return out
-
-    def randrange_unmasked(self, n: int) -> np.ndarray:
-        """Full-width ``randrange(n)``: every lane draws, no mask.
-
-        Bit-identical per lane to ``randrange(n, mask)`` on a masked
-        lane — same rejection rule, same step count — but optimised
-        for the all-lanes case: one unmasked step, then rejection
-        repair only for the (rare) lanes whose draw fell in the
-        truncated tail.  When ``n`` divides ``2**32`` no draw can be
-        rejected and the comparison is skipped entirely.
-        """
-        if n <= 0:
-            raise ConfigurationError(f"randrange() bound must be positive, got {n}")
-        limit = (0x100000000 // n) * n
-        v = self.next_u32()
-        if limit != 0x100000000:
-            rejected = v >= np.uint64(limit)
-            while rejected.any():
-                # next_u32 writes rejected lanes in place; `v` is the
-                # state vector, so it sees the redraws directly.
-                self.next_u32(rejected)
-                rejected &= v >= np.uint64(limit)
-        if n & (n - 1) == 0:
-            return v & np.uint64(n - 1)
-        return v % np.uint64(n)
 
     def _block_step(self, x, c, t, lim, rejected) -> None:
         """One in-place full-width MWC step with rejection repair."""
@@ -296,12 +273,13 @@ class MWCArray:
         """``rows`` consecutive full-width ``randrange(n)`` draws, stacked.
 
         Row ``r`` of the returned ``[rows, lanes]`` array is
-        bit-identical to the ``r``-th successive call to
-        :meth:`randrange_unmasked` — same step, same per-lane rejection
-        repair, same final range reduction — but the whole block runs
-        on in-place array steps with one output allocation, which is
-        the regime the kernel engine's CRG timeline precompute needs
-        (thousands of rows per sweep).  ``out`` lets the caller supply
+        bit-identical to the ``r``-th successive all-lanes
+        :meth:`randrange` call — same per-lane rejection rule, same
+        step count — but the whole block runs on in-place array steps
+        with one output allocation, repairing only the (rare) lanes
+        whose draw fell in the truncated tail.  This is the regime the
+        kernel engine's linearised draw streams need (thousands of
+        rows per sweep).  ``out`` lets the caller supply
         (and type) the destination block; integer dtypes are safe, the
         draws fit 32 bits.
         """
@@ -311,12 +289,12 @@ class MWCArray:
             raise ConfigurationError(f"randrange_block() rows must be non-negative, got {rows}")
         limit = (0x100000000 // n) * n
         if out is None:
-            out = xp.empty((rows, self.lanes), dtype=np.uint64)
+            out = np.empty((rows, self.lanes), dtype=np.uint64)
         x, c = self._x, self._c
-        t = xp.empty(self.lanes, dtype=np.uint64)
+        t = np.empty(self.lanes, dtype=np.uint64)
         lim = np.uint64(limit)
         rejected = (
-            xp.empty(self.lanes, dtype=bool) if limit != 0x100000000 else None
+            np.empty(self.lanes, dtype=bool) if limit != 0x100000000 else None
         )
         for row in range(rows):
             self._block_step(x, c, t, lim, rejected)
@@ -352,19 +330,19 @@ class MWCArray:
         limit_first = (0x100000000 // n_first) * n_first
         limit_second = (0x100000000 // n_second) * n_second
         if out_first is None:
-            out_first = xp.empty((rows, self.lanes), dtype=np.uint64)
+            out_first = np.empty((rows, self.lanes), dtype=np.uint64)
         if out_second is None:
-            out_second = xp.empty((rows, self.lanes), dtype=np.uint64)
+            out_second = np.empty((rows, self.lanes), dtype=np.uint64)
         x, c = self._x, self._c
-        t = xp.empty(self.lanes, dtype=np.uint64)
+        t = np.empty(self.lanes, dtype=np.uint64)
         lim_first = np.uint64(limit_first)
         lim_second = np.uint64(limit_second)
         rej_first = (
-            xp.empty(self.lanes, dtype=bool)
+            np.empty(self.lanes, dtype=bool)
             if limit_first != 0x100000000 else None
         )
         rej_second = (
-            xp.empty(self.lanes, dtype=bool)
+            np.empty(self.lanes, dtype=bool)
             if limit_second != 0x100000000 else None
         )
         for row in range(rows):

@@ -260,8 +260,7 @@ class TestAdaptiveCampaign:
 
     def test_stopping_is_engine_invariant(self, trace):
         reference = run(trace, adaptive=POLICY, engine="scalar")
-        for engine, workers in (("batch", None), ("kernel", None),
-                                ("sharded", 2)):
+        for engine, workers in (("kernel", None), ("kernel", 2)):
             other = run(trace, adaptive=POLICY, engine=engine,
                         workers=workers)
             assert other.runs_executed == reference.runs_executed
@@ -454,14 +453,14 @@ class TestScheduleInvariance:
             TestScheduleInvariance._reference = run(trace, adaptive=POLICY)
         return TestScheduleInvariance._reference
 
-    @given(schedule=schedules, engine=st.sampled_from(["batch", "kernel"]))
+    @given(schedule=schedules, workers=st.sampled_from([None, 2]))
     @settings(max_examples=12, deadline=None)
-    def test_any_schedule_reproduces_wave_by_wave(self, schedule, engine):
+    def test_any_schedule_reproduces_wave_by_wave(self, schedule, workers):
         reference = self.reference()
         trace = make_stream_trace("adapt", words=32, sweeps=2)
         result = collect_execution_times(
             trace, CONFIG, SCENARIO, runs=MAX_RUNS, master_seed=SEED,
-            engine=engine, adaptive=POLICY,
+            engine="kernel", workers=workers, adaptive=POLICY,
             scheduler=WaveScheduler(POLICY, schedule=schedule),
         )
         assert result.converged == reference.converged

@@ -1,11 +1,13 @@
-"""Equivalence and eligibility tests for the lock-step batch engine.
+"""The kernel engine's campaign backends: sharding, policy, fallback.
 
-The batch engine is only allowed to exist because it is bit-identical
-to the scalar interpreter: same execution times, same per-run cache
-counters, same checksums, same seed provenance.  These tests assert
-that contract for every analysis scenario class the paper uses
-(TR+EFL, TR isolation, CP, TD), plus the engine-selection policy, the
-strict-mode failure ergonomics and the fallback path.
+:class:`~repro.sim.batch.BatchBackend` runs a campaign's lanes
+in-process and :class:`~repro.sim.batch.ShardedBatchBackend` shards
+them over worker processes.  Single-process bit identity against the
+scalar oracle lives in ``tests/test_kernel.py``; these tests assert
+the sharded form of the same contract for every analysis scenario
+class the paper uses (TR+EFL, fixed-MID EFL, TR isolation, CP, TD),
+plus lane chunking, cross-engine resume, the engine-selection policy,
+the strict-mode failure ergonomics and the fallback path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.sim.backend import (
     SerialBackend,
     installed_fault_plan,
 )
-from repro.sim.batch import BatchBackend, ENGINE_NAMES
+from repro.sim.batch import BatchBackend, ENGINE_NAMES, ShardedBatchBackend
 from repro.sim.campaign import CampaignResult, collect_execution_times
 from repro.sim.checkpoint import CampaignCheckpoint
 from repro.sim.config import Scenario, SystemConfig
@@ -77,20 +79,23 @@ def trace():
 
 
 class TestBitIdentity:
+    """Sharded kernel campaigns (``workers=2``) against the scalar oracle."""
+
     @pytest.mark.parametrize("config, scenario", SCENARIO_CLASSES)
     def test_campaign_matches_scalar(self, trace, config, scenario):
         scalar = collect_execution_times(
             trace, config, scenario, runs=14, master_seed=9, engine="scalar"
         )
-        batch = collect_execution_times(
-            trace, config, scenario, runs=14, master_seed=9, engine="batch"
+        sharded = collect_execution_times(
+            trace, config, scenario, runs=14, master_seed=9, engine="kernel",
+            workers=2,
         )
-        assert batch.execution_times == scalar.execution_times
-        assert batch.seeds == scalar.seeds
-        assert batch.instructions == scalar.instructions
-        assert [record_key(r) for r in batch.records] == \
+        assert sharded.execution_times == scalar.execution_times
+        assert sharded.seeds == scalar.seeds
+        assert sharded.instructions == scalar.instructions
+        assert [record_key(r) for r in sharded.records] == \
             [record_key(r) for r in scalar.records]
-        assert batch.backend == "batch"
+        assert sharded.backend == "sharded[2]"
         assert scalar.backend == "serial"
 
     @pytest.mark.parametrize("config, scenario", SCENARIO_CLASSES)
@@ -99,17 +104,23 @@ class TestBitIdentity:
         template = RunRequest.isolation(trace, config, scenario, seeds[0])
         requests = [template.with_run(i, seed) for i, seed in enumerate(seeds)]
         scalar = SerialBackend().execute(requests)
-        batch = BatchBackend(strict=True).execute(requests)
-        assert [o.checksum for o in batch] == [o.checksum for o in scalar]
-        assert [o.result for o in batch] == [o.result for o in scalar]
-        assert all(o.wall_time_s > 0 for o in batch)
+        # force_pool: the shards really run in worker processes, even
+        # on a single-CPU host.
+        sharded = ShardedBatchBackend(
+            workers=2, force_pool=True, strict=True
+        ).execute(requests)
+        assert [o.checksum for o in sharded] == [o.checksum for o in scalar]
+        assert [o.result for o in sharded] == [o.result for o in scalar]
 
     def test_chunked_lanes_match_unchunked(self, trace):
         seeds = derive_seeds(3, 13)
         template = RunRequest.isolation(trace, CONFIG, Scenario.efl(250), seeds[0])
         requests = [template.with_run(i, seed) for i, seed in enumerate(seeds)]
         whole = BatchBackend(strict=True).execute(requests)
-        chunked = BatchBackend(strict=True, max_lanes=4).execute(requests)
+        # max_lanes raises the shard count: 13 lanes in shards of <= 4.
+        chunked = ShardedBatchBackend(
+            workers=2, force_pool=True, strict=True, max_lanes=4
+        ).execute(requests)
         assert [o.checksum for o in chunked] == [o.checksum for o in whole]
 
     def test_store_free_trace(self, trace):
@@ -118,11 +129,11 @@ class TestBitIdentity:
             loads_only, CONFIG, Scenario.efl(100), runs=8, master_seed=2,
             engine="scalar",
         )
-        batch = collect_execution_times(
+        sharded = collect_execution_times(
             loads_only, CONFIG, Scenario.efl(100), runs=8, master_seed=2,
-            engine="batch",
+            engine="kernel", workers=2,
         )
-        assert batch.execution_times == scalar.execution_times
+        assert sharded.execution_times == scalar.execution_times
 
     def test_resume_across_engines(self, trace, tmp_path):
         journal = tmp_path / "campaign.jsonl"
@@ -142,8 +153,9 @@ class TestBitIdentity:
                     raise KeyboardInterrupt
 
         # Kill a scalar campaign mid-flight, then resume it on the
-        # batch engine: the journalled prefix plus the vectorised
-        # remainder must equal the uninterrupted scalar sample.
+        # sharded kernel engine: the journalled prefix plus the
+        # vectorised remainder must equal the uninterrupted scalar
+        # sample.
         with pytest.raises(KeyboardInterrupt):
             collect_execution_times(
                 trace, CONFIG, scenario, runs=12, master_seed=4,
@@ -153,8 +165,8 @@ class TestBitIdentity:
         survived = len(journal.read_text().splitlines()) - 1
         assert survived >= 5
         resumed = collect_execution_times(
-            trace, CONFIG, scenario, runs=12, master_seed=4, engine="batch",
-            checkpoint=CampaignCheckpoint(journal, resume=True),
+            trace, CONFIG, scenario, runs=12, master_seed=4, engine="kernel",
+            workers=2, checkpoint=CampaignCheckpoint(journal, resume=True),
         )
         assert resumed.resumed_runs == survived
         assert resumed.execution_times == reference.execution_times
@@ -166,8 +178,7 @@ class TestEngineSelection:
         result = collect_execution_times(
             trace, CONFIG, Scenario.efl(250), runs=5, master_seed=1
         )
-        # auto prefers the grouped-opcode kernel form of the batch
-        # engine on default semantics.
+        # auto prefers the kernel engine on default semantics.
         assert result.backend == "kernel"
         assert all(r.wall_time_s > 0 for r in result.records)
         assert result.runs_per_second > 0
@@ -217,7 +228,20 @@ class TestEngineSelection:
             )
 
     def test_engine_names_exported(self):
-        assert ENGINE_NAMES == ("auto", "scalar", "batch", "sharded", "kernel")
+        assert ENGINE_NAMES == ("auto", "scalar", "kernel")
+
+    @pytest.mark.parametrize("engine", ["batch", "sharded"])
+    def test_retired_engine_names_rejected(self, trace, engine):
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            collect_execution_times(
+                trace, CONFIG, Scenario.efl(250), runs=5, engine=engine
+            )
+
+    def test_no_backend_takes_a_kernel_flag(self):
+        with pytest.raises(TypeError):
+            BatchBackend(kernel=True)
+        with pytest.raises(TypeError):
+            ShardedBatchBackend(workers=2, kernel=True)
 
 
 class TestStrictEligibility:
@@ -225,28 +249,28 @@ class TestStrictEligibility:
         with pytest.raises(ConfigurationError, match="analysis-mode"):
             collect_execution_times(
                 trace, CONFIG, Scenario.efl(250, mode=OperationMode.DEPLOYMENT),
-                runs=4, master_seed=1, engine="batch",
+                runs=4, master_seed=1, engine="kernel",
             )
 
     def test_profile_named_in_error(self, trace):
         with pytest.raises(ConfigurationError, match="[Pp]rofil"):
             collect_execution_times(
                 trace, CONFIG, Scenario.efl(250), runs=4, master_seed=1,
-                engine="batch", profile=True,
+                engine="kernel", profile=True,
             )
 
     def test_cycle_budget_named_in_error(self, trace):
         with pytest.raises(ConfigurationError, match="cycle-budget"):
             collect_execution_times(
                 trace, CONFIG, Scenario.efl(250), runs=4, master_seed=1,
-                engine="batch", cycle_budget=10**9,
+                engine="kernel", cycle_budget=10**9,
             )
 
     def test_write_through_ablation_named_in_error(self, trace):
         with pytest.raises(ConfigurationError, match="write-through"):
             collect_execution_times(
                 trace, replace(CONFIG, dl1_write_back=False), Scenario.efl(250),
-                runs=4, master_seed=1, engine="batch",
+                runs=4, master_seed=1, engine="kernel",
             )
 
     def test_fault_plan_makes_campaign_ineligible(self, trace):
@@ -255,7 +279,7 @@ class TestStrictEligibility:
             with pytest.raises(ConfigurationError, match="fault-injection"):
                 collect_execution_times(
                     trace, CONFIG, Scenario.efl(250), runs=4, master_seed=1,
-                    engine="batch",
+                    engine="kernel",
                 )
 
     def test_heterogeneous_requests_rejected(self, trace):

@@ -36,10 +36,19 @@ class TestParser:
         assert make_parser().parse_args(["fig3"]).engine == "auto"
 
     def test_engine_options(self):
-        for engine in ("auto", "scalar", "batch", "sharded"):
+        for engine in ("auto", "scalar", "kernel"):
             assert make_parser().parse_args(
                 ["--engine", engine, "fig3"]
             ).engine == engine
+
+    @pytest.mark.parametrize("argv", [
+        ["--engine", "batch", "fig3"],
+        ["--engine", "sharded", "fig3"],
+        ["--array-backend", "numpy", "fig3"],
+    ])
+    def test_retired_options_are_argparse_errors(self, argv):
+        with pytest.raises(SystemExit):
+            make_parser().parse_args(argv)
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
@@ -113,25 +122,26 @@ class TestExecution:
                      "iid"])
         assert code == 0
         scalar_out = capsys.readouterr().out
-        code = main(["--scale", "tiny", "--seed", "3", "--engine", "batch",
+        code = main(["--scale", "tiny", "--seed", "3", "--engine", "kernel",
                      "iid"])
         assert code == 0
         assert capsys.readouterr().out == scalar_out
 
+    # "batch engine" below is the kernel engine's strict BatchBackend.
     def test_strict_batch_engine_refuses_profile(self):
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="profil"):
-            main(["--scale", "tiny", "--engine", "batch", "--profile", "iid"])
+            main(["--scale", "tiny", "--engine", "kernel", "--profile", "iid"])
 
     def test_strict_batch_engine_refuses_deployment_runs(self):
         from repro.errors import ConfigurationError
 
         # fig4's measured-average pass co-runs workloads (deployment
-        # mode), which the batch engine must reject by name instead of
+        # mode), which the kernel engine must reject by name instead of
         # silently interpreting scalar.
         with pytest.raises(ConfigurationError, match="deployment"):
-            main(["--scale", "tiny", "--engine", "batch", "fig4"])
+            main(["--scale", "tiny", "--engine", "kernel", "fig4"])
 
     def test_checkpointed_resume_matches_fresh_run(self, tmp_path, capsys):
         code = main(["--scale", "tiny", "--seed", "3", "iid"])
@@ -195,16 +205,19 @@ class TestWorkerValidation:
 
 
 class TestWorkerEngineConflicts:
+    # The kernel engine runs in-process (BatchBackend) or sharded
+    # (ShardedBatchBackend); both forms conflict with the process pool.
     def test_process_backend_conflicts_with_batch_engine(self):
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError,
                            match="--backend process conflicts"):
-            main(["--backend", "process", "--engine", "batch", "fig3"])
+            main(["--backend", "process", "--engine", "kernel", "fig3"])
 
     def test_process_backend_conflicts_with_sharded_engine(self):
         from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError, match="--engine sharded"):
-            main(["--backend", "process", "--engine", "sharded", "fig3"])
+        with pytest.raises(ConfigurationError, match="--engine kernel"):
+            main(["--backend", "process", "--engine", "kernel",
+                  "--workers", "2", "fig3"])
 
     def test_workers_with_scalar_engine_rejected(self):
         from repro.errors import ConfigurationError
@@ -212,13 +225,13 @@ class TestWorkerEngineConflicts:
             main(["--engine", "scalar", "--workers", "2", "fig3"])
 
     def test_workers_route_to_shards_without_process_backend(self, capsys):
-        # --engine batch --workers 2 means two shards: the run must
+        # --engine kernel --workers 2 means two shards: the run must
         # complete and print the same table a scalar run prints.
         code = main(["--scale", "tiny", "--seed", "3", "--engine", "scalar",
                      "iid"])
         assert code == 0
         scalar_out = capsys.readouterr().out
-        code = main(["--scale", "tiny", "--seed", "3", "--engine", "batch",
+        code = main(["--scale", "tiny", "--seed", "3", "--engine", "kernel",
                      "--workers", "2", "iid"])
         assert code == 0
         assert capsys.readouterr().out == scalar_out

@@ -1,22 +1,25 @@
-"""Grouped-opcode kernel engine: bit-identity, compilation, selection.
+"""Kernel engine: bit-identity, compilation, selection.
 
-The kernel engine is the batch engine's compiled form — a
+The kernel engine runs a campaign as lock-step NumPy lanes over a
 ``TraceProgram`` lowered to fused max-plus chains plus irreducible
-cache-access ops (:mod:`repro.sim.kernels`).  Like the batch engine
-before it, it is only allowed to exist because it is bit-identical to
-the scalar interpreter: same execution times, same per-run counters,
-same checksums, same seeds, across every analysis scenario class the
-paper uses.  These tests assert that contract, the compile pass's
-accounting (every instruction lands in exactly one group class), the
-plan-cache integration (kernel plans cached alongside their programs,
-one program lookup per campaign), the engine-selection policy
-(``auto`` prefers the kernel; ``--engine kernel`` is strict), and the
-cross-engine checkpoint-resume matrix including the kernel
-(satellite: scalar ↔ batch ↔ sharded ↔ kernel journals are
-interchangeable because the sample is engine-invariant).
+cache-access ops (:mod:`repro.sim.kernels`).  It is only allowed to
+exist because it is bit-identical to the scalar interpreter: same
+execution times, same per-run counters, same checksums, same seeds,
+across every analysis scenario class the paper uses.  These tests
+assert that contract, the compile pass's accounting (every
+instruction lands in exactly one group class), the plan-cache
+integration (kernel plans cached alongside their programs, one
+program lookup per campaign), the engine-selection policy (``auto``
+prefers the kernel; ``--engine kernel`` is strict), and the
+cross-engine checkpoint-resume matrix (scalar, in-process and sharded
+kernel journals are interchangeable because the sample is
+engine-invariant).  ``tests/test_batch.py`` covers the sharded form of
+the bit-identity contract and the backends' policy and fallback.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -77,24 +80,10 @@ class TestBitIdentity:
         template = RunRequest.isolation(trace, config, scenario, seeds[0])
         requests = [template.with_run(i, seed) for i, seed in enumerate(seeds)]
         scalar = SerialBackend().execute(requests)
-        kernel = BatchBackend(strict=True, kernel=True).execute(requests)
+        kernel = BatchBackend(strict=True).execute(requests)
         assert [o.checksum for o in kernel] == [o.checksum for o in scalar]
         assert [o.result for o in kernel] == [o.result for o in scalar]
         assert all(o.wall_time_s > 0 for o in kernel)
-
-    def test_kernel_matches_batch_engine_exactly(self, trace):
-        batch = collect_execution_times(
-            trace, CONFIG, Scenario.efl(250), runs=12, master_seed=5,
-            engine="batch",
-        )
-        kernel = collect_execution_times(
-            trace, CONFIG, Scenario.efl(250), runs=12, master_seed=5,
-            engine="kernel",
-        )
-        assert kernel.execution_times == batch.execution_times
-        assert kernel.seeds == batch.seeds
-        assert [record_key(r) for r in kernel.records] == \
-            [record_key(r) for r in batch.records]
 
     def test_chunked_lanes_match_unchunked(self, trace):
         seeds = derive_seeds(3, 13)
@@ -102,10 +91,8 @@ class TestBitIdentity:
             trace, CONFIG, Scenario.efl(250), seeds[0]
         )
         requests = [template.with_run(i, seed) for i, seed in enumerate(seeds)]
-        whole = BatchBackend(strict=True, kernel=True).execute(requests)
-        chunked = BatchBackend(
-            strict=True, kernel=True, max_lanes=4
-        ).execute(requests)
+        whole = BatchBackend(strict=True).execute(requests)
+        chunked = BatchBackend(strict=True, max_lanes=4).execute(requests)
         assert [o.checksum for o in chunked] == [o.checksum for o in whole]
 
     def test_sharded_kernel_matches_scalar(self, trace):
@@ -116,7 +103,7 @@ class TestBitIdentity:
         sharded = collect_execution_times(
             trace, CONFIG, Scenario.efl(250), runs=10, master_seed=7,
             backend=ShardedBatchBackend(
-                workers=2, force_pool=True, strict=True, kernel=True
+                workers=2, force_pool=True, strict=True
             ),
         )
         assert sharded.execution_times == scalar.execution_times
@@ -133,6 +120,31 @@ class TestBitIdentity:
             engine="kernel",
         )
         assert kernel.execution_times == scalar.execution_times
+
+    @pytest.mark.parametrize("config, scenario", [
+        pytest.param(
+            replace(CONFIG, placement="modulo", replacement="lru"),
+            Scenario.uncontrolled(mode=OperationMode.ANALYSIS), id="td",
+        ),
+        pytest.param(replace(CONFIG, replacement="lru"), Scenario.efl(100),
+                     id="lru-efl"),
+    ])
+    def test_lru_llc_write_backs_match_scalar(self, config, scenario):
+        # A footprint past the L1 but near the LLC size: dirty L1
+        # victims land on resident LLC lines (dirty bit + LRU restamp)
+        # and dirty LLC victims reach memory, so the LRU write-back
+        # path decides both timing and memory_writes.
+        trace = make_stream_trace("lruwb", words=512, sweeps=4,
+                                  store_every=2)
+        scalar = collect_execution_times(
+            trace, config, scenario, runs=6, master_seed=3, engine="scalar"
+        )
+        kernel = collect_execution_times(
+            trace, config, scenario, runs=6, master_seed=3, engine="kernel"
+        )
+        assert any(r.memory_writes for r in scalar.records)
+        assert [record_key(r) for r in kernel.records] == \
+            [record_key(r) for r in scalar.records]
 
     def test_numba_probe_degrades_silently(self):
         # This container has no numba: the probe must report that and
@@ -217,9 +229,8 @@ class TestKernelPlanCache:
         assert again.kernel is first.kernel
         assert again.program is first.program
         assert (cache.kernel_hits, cache.kernel_misses) == (1, 1)
-        # One program lookup per request — the same accounting a batch
-        # campaign would produce, so compile-once assertions hold
-        # regardless of which engine ran the sweep.
+        # One program lookup per request, so compile-once assertions
+        # hold whether the campaign ran in-process or sharded.
         assert cache.snapshot() == (1, 1)
 
     def test_kernel_campaigns_share_compiled_plans(self, trace):
@@ -288,7 +299,9 @@ class KillAfter(RunObserver):
 
 #: (first engine, resuming engine) pairs: the kernel must be able to
 #: adopt any engine's journal and vice versa, because all engines
-#: derive the identical sample.
+#: derive the identical sample.  "batch" and "sharded" hand the
+#: campaign an explicit BatchBackend / ShardedBatchBackend instance
+#: instead of naming an engine.
 RESUME_PAIRS = [
     pytest.param("scalar", "kernel", id="scalar-to-kernel"),
     pytest.param("kernel", "scalar", id="kernel-to-scalar"),
@@ -300,10 +313,12 @@ RESUME_PAIRS = [
 
 class TestResumeAcrossEngines:
     def _engine_kwargs(self, engine):
+        if engine == "batch":
+            return {"backend": BatchBackend(strict=True)}
         if engine == "sharded":
             return {
                 "backend": ShardedBatchBackend(
-                    workers=2, force_pool=True, strict=True, kernel=True
+                    workers=2, force_pool=True, strict=True
                 ),
             }
         return {"engine": engine}
@@ -345,11 +360,12 @@ class TestResumeAcrossEngines:
             trace, CONFIG, Scenario.efl(250), 4, 12
         )
         results = {
-            engine: collect_execution_times(
+            (engine, workers): collect_execution_times(
                 trace, CONFIG, Scenario.efl(250), runs=6, master_seed=4,
-                engine=engine,
+                engine=engine, workers=workers,
             )
-            for engine in ("scalar", "batch", "kernel")
+            for engine, workers in (("scalar", None), ("kernel", None),
+                                    ("kernel", 2))
         }
         times = {tuple(r.execution_times) for r in results.values()}
         assert len(times) == 1

@@ -282,15 +282,17 @@ def _fingerprintable(result):
 
 
 class TestTelemetryBitNeutrality:
-    @pytest.mark.parametrize("engine", ["scalar", "batch", "sharded"])
+    @pytest.mark.parametrize("engine, workers", [
+        pytest.param("scalar", None, id="scalar"),
+        pytest.param("kernel", None, id="kernel"),
+        pytest.param("kernel", 2, id="kernel-workers2"),
+    ])
     def test_sample_identical_with_and_without_telemetry(
-        self, tiny_config, engine
+        self, tiny_config, engine, workers
     ):
         trace = make_stream_trace(words=32, sweeps=2)
         scenario = Scenario.efl(mid=100)
-        kwargs = dict(master_seed=11, engine=engine)
-        if engine == "sharded":
-            kwargs["workers"] = 2
+        kwargs = dict(master_seed=11, engine=engine, workers=workers)
         bare = collect_execution_times(
             trace, tiny_config, scenario, 16, **kwargs
         )
@@ -319,7 +321,7 @@ class TestTelemetryBitNeutrality:
         telemetry = Telemetry()
         collect_execution_times(
             trace, tiny_config, Scenario.efl(mid=100), 4,
-            engine="batch", telemetry=telemetry, job_id="job-000042",
+            engine="kernel", telemetry=telemetry, job_id="job-000042",
         )
         roots = telemetry.tracer.export()
         assert len(roots) == 1
@@ -327,7 +329,7 @@ class TestTelemetryBitNeutrality:
         assert campaign["name"] == "campaign"
         assert campaign["attributes"]["job"] == "job-000042"
         assert campaign["attributes"]["runs"] == 4
-        # The batch engine records its sweeps as children.
+        # The kernel engine records its sweeps as children.
         assert any(
             child["name"] == "batch_sweep" for child in campaign["children"]
         )

@@ -1,12 +1,14 @@
 """Bit-exactness tests for the vectorised PRNG / hashing primitives.
 
-The batch engine's whole contract rests on these: every lane of
+The kernel engine's whole contract rests on these: every lane of
 :class:`~repro.utils.rng.MWCArray` must reproduce its scalar
 :class:`~repro.utils.rng.MultiplyWithCarry` twin draw for draw, and the
 vectorised SplitMix64 / parametric hash must match their scalar
-counterparts on every input.  Any drift here silently corrupts a whole
-campaign's sample, so the pins are long (10k draws) and cover the
-degenerate corners of the seed space.
+counterparts on every input.  The block draws the kernel's linearised
+streams consume must equal the on-demand masked draws row for row.
+Any drift here silently corrupts a whole campaign's sample, so the
+pins are long (10k draws) and cover the degenerate corners of the seed
+space.
 """
 
 from __future__ import annotations
@@ -168,6 +170,94 @@ class TestMWCArrayBitExact:
         scalar = MultiplyWithCarry(seed)
         for _ in range(200):
             assert int(array.next_u32()[0]) == scalar.next_u32()
+
+
+#: Block-draw bounds: powers of two (masked reduction, no rejection at
+#: 2**32), small odd bounds, and 2**31 + 1, which rejects almost half
+#: of all raw draws.
+BLOCK_BOUNDS = [1, 2, 3, 16, 37, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
+
+block_seeds = st.lists(
+    st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6
+)
+
+
+def _twins(seeds):
+    lanes = np.array(seeds, dtype=np.uint64)
+    return MWCArray(lanes), MWCArray(lanes), np.ones(len(seeds), dtype=bool)
+
+
+def _same_state(a, b):
+    (ax, ac), (bx, bc) = a.state(), b.state()
+    return np.array_equal(ax, bx) and np.array_equal(ac, bc)
+
+
+class TestBlockDraws:
+    """``randrange_block`` / ``randrange_block_pair`` against masked draws."""
+
+    @given(seeds=block_seeds, n=st.sampled_from(BLOCK_BOUNDS),
+           rows=st.integers(min_value=0, max_value=24),
+           int64_out=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_block_rows_equal_successive_masked_draws(self, seeds, n, rows,
+                                                      int64_out):
+        block_rng, twin, mask = _twins(seeds)
+        out = (np.empty((rows, len(seeds)), dtype=np.int64)
+               if int64_out else None)
+        block = block_rng.randrange_block(n, rows, out=out)
+        assert block.shape == (rows, len(seeds))
+        if int64_out:
+            assert block is out
+        for row in range(rows):
+            expected = twin.randrange(n, mask)
+            assert [int(v) for v in block[row]] == [int(v) for v in expected]
+        assert _same_state(block_rng, twin)
+
+    @given(seeds=block_seeds, n1=st.sampled_from(BLOCK_BOUNDS),
+           n2=st.sampled_from(BLOCK_BOUNDS),
+           rows=st.integers(min_value=0, max_value=16),
+           int64_out=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_pair_rows_equal_alternating_masked_draws(self, seeds, n1, n2,
+                                                      rows, int64_out):
+        block_rng, twin, mask = _twins(seeds)
+        lanes = len(seeds)
+        outs = {}
+        if int64_out:
+            outs = {
+                "out_first": np.empty((rows, lanes), dtype=np.int64),
+                "out_second": np.empty((rows, lanes), dtype=np.int64),
+            }
+        first, second = block_rng.randrange_block_pair(n1, n2, rows, **outs)
+        if int64_out:
+            assert first is outs["out_first"]
+            assert second is outs["out_second"]
+        for row in range(rows):
+            expected_first = twin.randrange(n1, mask)
+            expected_second = twin.randrange(n2, mask)
+            assert [int(v) for v in first[row]] == \
+                [int(v) for v in expected_first]
+            assert [int(v) for v in second[row]] == \
+                [int(v) for v in expected_second]
+        assert _same_state(block_rng, twin)
+
+    def test_zero_rows_draw_nothing(self):
+        block_rng, twin, _mask = _twins(EDGE_SEEDS)
+        assert block_rng.randrange_block(7, 0).shape == (0, len(EDGE_SEEDS))
+        first, second = block_rng.randrange_block_pair(7, 3, 0)
+        assert first.shape == second.shape == (0, len(EDGE_SEEDS))
+        assert _same_state(block_rng, twin)
+
+    def test_rejects_bad_parameters(self):
+        array = MWCArray(np.array([1], dtype=np.uint64))
+        with pytest.raises(ConfigurationError):
+            array.randrange_block(0, 4)
+        with pytest.raises(ConfigurationError):
+            array.randrange_block(4, -1)
+        with pytest.raises(ConfigurationError):
+            array.randrange_block_pair(4, 0, 4)
+        with pytest.raises(ConfigurationError):
+            array.randrange_block_pair(4, 4, -1)
 
 
 class TestSetIndexArray:

@@ -149,6 +149,23 @@ class TestJobSpec:
         with pytest.raises(ServiceError, match="malformed job spec"):
             job_from_spec({"trace": {"name": "x"}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("runs", 0), ("engine", "sharded"), ("config", {"l1_size": 3}),
+    ])
+    def test_library_validation_errors_become_service_errors(
+        self, tiny_config, scenario, key, value
+    ):
+        spec = json.loads(json.dumps(job_spec(make_job(tiny_config, scenario))))
+        spec[key] = value
+        with pytest.raises(ServiceError, match="malformed job spec"):
+            job_from_spec(spec)
+
+    def test_unknown_engine_rejected_at_construction(
+        self, tiny_config, scenario
+    ):
+        with pytest.raises(ConfigurationError, match="engine"):
+            make_job(tiny_config, scenario, engine="batch")
+
 
 # ----------------------------------------------------------------------
 # the write-ahead journal
@@ -287,6 +304,45 @@ class TestQueueDurability:
         # prevent double re-admission.
         with JobJournal(path) as journal3:
             assert journal3.pending() == []
+
+    def test_bad_entries_do_not_block_recovery(
+        self, tmp_path, tiny_config, scenario
+    ):
+        # One journal, three interrupted jobs.  Two specs are rewritten
+        # so the library's own validation rejects them on rebuild: zero
+        # runs, and an engine name this library no longer has.  Each is
+        # counted and skipped; the good job is still recovered.
+        path = tmp_path / "jobs.jsonl"
+        journal = JobJournal(path)
+        queue = JobQueue(workers=1, journal=journal, start=False)
+        jobs = [queue.submit(make_job(tiny_config, scenario, seed=seed))
+                for seed in (1, 2, 3)]
+        journal.close()
+        del queue
+        bad = {jobs[0].job_id: ("runs", 0), jobs[1].job_id: ("engine", "batch")}
+        lines = []
+        for line in path.read_text().splitlines():
+            event = json.loads(line)
+            if event.get("event") == "admit" and event["job_id"] in bad:
+                key, value = bad[event["job_id"]]
+                event["spec"][key] = value
+            lines.append(json.dumps(event, separators=(",", ":")))
+        path.write_text("\n".join(lines) + "\n")
+
+        telemetry = Telemetry()
+        journal2 = JobJournal(path)
+        with JobQueue(workers=1, telemetry=telemetry,
+                      journal=journal2) as queue2:
+            recovered = recover_jobs(journal2, queue2)
+            results = [job.wait(timeout=60) for job in recovered]
+        journal2.close()
+        assert len(recovered) == 1
+        assert recovered[0].fingerprint == jobs[2].fingerprint
+        assert telemetry.metrics.value("journal_rebuild_failures") == 2
+        assert telemetry.metrics.value("jobs_recovered") == 1
+        assert _sample(results[0]) == _sample(
+            direct_result(make_job(tiny_config, scenario, seed=3))
+        )
 
     def test_completed_before_crash_answers_from_store(
         self, tmp_path, tiny_config, scenario

@@ -1,6 +1,6 @@
-"""Sharded batch engine: partitioning, shared programs, plan cache.
+"""Sharded kernel engine: partitioning, shared programs, plan cache.
 
-Three properties earn the sharded engine its place:
+Three properties earn the sharded kernel engine its place:
 
 * **partitioning is sound** — every lane lands in exactly one shard,
   order preserved, sizes balanced (proved by hypothesis over arbitrary
@@ -10,7 +10,8 @@ Three properties earn the sharded engine its place:
   the scalar interpreter's exactly;
 * **compile-once** — a PWCETTable sweep compiles each benchmark's
   trace once and answers every further (MID, way-count) campaign from
-  its plan cache.
+  its plan cache, and every campaign — in-process or sharded — costs
+  exactly one program lookup.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from repro.errors import ConfigurationError
 from repro.sim.backend import RunObserver, SerialBackend
 from repro.sim.batch import (
     SHARDED_AUTO_MIN_RUNS,
+    BatchBackend,
     ShardedBatchBackend,
-    _TemplatePlan,
     shard_lanes,
 )
 from repro.sim.campaign import collect_execution_times
 from repro.sim.checkpoint import CampaignCheckpoint
 from repro.sim.config import Scenario, SystemConfig
+from repro.sim.kernels import KernelTemplatePlan
 from repro.sim.plancache import PlanCache, SharedProgram, TraceProgram
 from repro.sim.simulator import RunRequest
 from repro.utils.rng import SplitMix64, derive_seeds, splitmix64_draw
@@ -108,7 +110,7 @@ class TestShardLanes:
 class TestSeedSchedule:
     def test_per_shard_seeds_match_scalar_schedule(self, trace):
         # Sharding must not change which PRNG draws a lane consumes:
-        # the k-th SplitMix64 draw the batch sweep computes for a lane
+        # the k-th SplitMix64 draw the kernel sweep computes for a lane
         # equals the k-th next_u64() of that lane's own run seed —
         # regardless of which shard the lane landed in.
         import numpy as np
@@ -147,8 +149,7 @@ class TestShardCountInvariance:
             [record_key(r) for r in scalar.records]
 
     def test_checksums_match_single_process_batch(self, trace):
-        from repro.sim.batch import BatchBackend
-
+        # "batch" is the single-process kernel engine (BatchBackend).
         seeds = derive_seeds(31, 9)
         template = RunRequest.isolation(trace, CONFIG, SCENARIO, seeds[0])
         requests = [template.with_run(i, seed) for i, seed in enumerate(seeds)]
@@ -166,16 +167,18 @@ class TestShardCountInvariance:
             collect_execution_times(
                 trace, CONFIG,
                 Scenario.efl(250, mode=OperationMode.DEPLOYMENT),
-                runs=4, master_seed=1, engine="sharded",
+                runs=4, master_seed=1, engine="kernel", workers=2,
             )
 
     def test_engine_batch_with_workers_shards(self, trace):
+        # The kernel engine's in-process backend is BatchBackend;
+        # workers=2 turns it into two shards.
         scalar = collect_execution_times(
             trace, CONFIG, SCENARIO, runs=11, master_seed=8, engine="scalar"
         )
         sharded = collect_execution_times(
             trace, CONFIG, SCENARIO, runs=11, master_seed=8,
-            engine="batch", workers=2,
+            engine="kernel", workers=2,
         )
         assert sharded.execution_times == scalar.execution_times
         assert sharded.backend.startswith("sharded[")
@@ -299,7 +302,7 @@ class TestSharedProgram:
         try:
             clone = shared.handle.attach()
             try:
-                plan = _TemplatePlan(CONFIG, SCENARIO, 0, clone)
+                plan = KernelTemplatePlan(CONFIG, SCENARIO, 0, clone)
                 outcomes = plan.execute(requests)
                 assert [o.checksum for o in outcomes] == \
                     [o.checksum for o in reference]
@@ -347,14 +350,47 @@ class TestPlanCache:
         cache = PlanCache()
         first = collect_execution_times(
             trace, CONFIG, SCENARIO, runs=6, master_seed=1,
-            engine="batch", plan_cache=cache,
+            engine="kernel", plan_cache=cache,
         )
         assert (first.plan_cache_hits, first.plan_cache_misses) == (0, 1)
         second = collect_execution_times(
             trace, CONFIG, Scenario.efl(500), runs=6, master_seed=2,
-            engine="batch", plan_cache=cache,
+            engine="kernel", plan_cache=cache,
         )
         assert (second.plan_cache_hits, second.plan_cache_misses) == (1, 0)
+
+    @pytest.mark.parametrize("case", [
+        "kernel", "kernel-workers2-one-run", "sharded-one-worker",
+        "sharded-one-cpu",
+    ])
+    def test_campaign_costs_one_program_lookup(self, trace, case,
+                                               monkeypatch):
+        # PlanCache.kernel_plan's contract: a kernel campaign costs
+        # exactly one program hit/miss, also when a sharded backend
+        # ends up running its resolved plan in-process.
+        import repro.sim.backend as backend_mod
+
+        cache = PlanCache()
+        runs, kwargs = 4, {"engine": "kernel", "plan_cache": cache}
+        if case == "kernel-workers2-one-run":
+            runs, kwargs["workers"] = 1, 2
+        elif case == "sharded-one-worker":
+            kwargs = {"backend": ShardedBatchBackend(
+                workers=1, strict=True, plan_cache=cache)}
+        elif case == "sharded-one-cpu":
+            monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 1)
+            kwargs = {"backend": ShardedBatchBackend(
+                workers=2, strict=True, plan_cache=cache)}
+        scalar = collect_execution_times(
+            trace, CONFIG, SCENARIO, runs=runs, master_seed=6,
+            engine="scalar",
+        )
+        result = collect_execution_times(
+            trace, CONFIG, SCENARIO, runs=runs, master_seed=6, **kwargs
+        )
+        assert result.execution_times == scalar.execution_times
+        assert cache.hits + cache.misses == 1
+        assert (result.plan_cache_hits, result.plan_cache_misses) == (0, 1)
 
     def test_pwcet_table_compiles_each_trace_once(self):
         from repro.analysis.experiments import PWCETTable
@@ -461,7 +497,7 @@ class TestPlanCache:
 
         result = collect_execution_times(
             trace, CONFIG, SCENARIO, runs=6, master_seed=1,
-            engine="batch", plan_cache=PlanCache(),
+            engine="kernel", plan_cache=PlanCache(),
         )
         rendered = render_campaign(result)
         assert "plan cache: 1 compile(s), 0 hit(s)" in rendered
@@ -499,13 +535,22 @@ class TestPlanCache:
     def test_non_kernel_campaigns_have_no_kernel_stats(self, trace):
         from repro.analysis.reporting import render_campaign
 
-        for engine in ("scalar", "batch"):
-            result = collect_execution_times(
-                trace, CONFIG, SCENARIO, runs=4, master_seed=1,
-                engine=engine,
-                plan_cache=PlanCache() if engine == "batch" else None,
-            )
-            assert result.kernel_stats is None, engine
+        scalar = collect_execution_times(
+            trace, CONFIG, SCENARIO, runs=4, master_seed=1, engine="scalar",
+        )
+        # A kernel backend whose campaign fell back to scalar (profiled
+        # runs are ineligible) must not report the cached plan's stats.
+        cache = PlanCache()
+        KernelTemplatePlan.for_request(
+            RunRequest.isolation(trace, CONFIG, SCENARIO, 1), cache
+        )
+        fallback = collect_execution_times(
+            trace, CONFIG, SCENARIO, runs=4, master_seed=1,
+            backend=BatchBackend(plan_cache=cache), profile=True,
+        )
+        assert fallback.backend == "serial"
+        for result in (scalar, fallback):
+            assert result.kernel_stats is None, result.backend
             assert "kernel plan" not in render_campaign(result)
 
     def test_warm_plan_cache_repeat_is_bit_identical(self, trace):
