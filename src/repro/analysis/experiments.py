@@ -22,9 +22,10 @@ from __future__ import annotations
 import re
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import improvement, summarise_improvements
 from repro.analysis.partitions import (
@@ -38,7 +39,13 @@ from repro.pta.adaptive import ConvergencePolicy
 from repro.pta.evt import validate_exceedance
 from repro.pta.iid import IIDResult, iid_test
 from repro.pta.mbpta import MBPTAResult, estimate_pwcet
-from repro.sim.backend import ExecutionBackend, RunObserver, SerialBackend
+from repro.sim.backend import (
+    ExecutionBackend,
+    ProcessPoolBackend,
+    RunObserver,
+    SerialBackend,
+    usable_cpus,
+)
 from repro.sim.campaign import CampaignResult, collect_execution_times
 from repro.sim.plancache import PlanCache
 from repro.sim.checkpoint import CampaignCheckpoint
@@ -118,6 +125,8 @@ class PWCETTable:
             )
         self.adaptive = adaptive
         self.backend = backend if backend is not None else SerialBackend()
+        # Without one, Figure 4's co-run batch picks its own backend.
+        self._backend_given = backend is not None
         self.observer = observer if observer is not None else RunObserver()
         #: When set, every run is profiled and its attribution snapshot
         #: travels on the run's record (see ProfilingObserver).
@@ -383,37 +392,63 @@ def run_fig3(
 # ----------------------------------------------------------------------
 # E3 + E4: Figure 4
 # ----------------------------------------------------------------------
-def _deployment_samples(
-    table: "PWCETTable",
-    traces: Sequence,
-    scenario: Scenario,
-    rep_seeds: Sequence[int],
-    label: str,
-) -> List[float]:
-    """Co-run one workload ``len(rep_seeds)`` times through the backend."""
-    if table.engine == "kernel":
-        raise ConfigurationError(
-            "the kernel engine only vectorises analysis-mode "
-            "isolation campaigns; deployment co-runs interleave cores "
-            "dynamically and need the scalar interpreter (use "
-            "engine='auto' or 'scalar' for deployment experiments)"
-        )
-    template = RunRequest.workload(
-        traces, table.config, scenario, rep_seeds[0], index=0,
-        profile=table.profile, cycle_budget=table.cycle_budget,
+class CoRun(NamedTuple):
+    """One job of Figure 4's deployment batch: ``index`` is the rep
+    number within its workload and setup.  It holds no trace; the
+    process that runs it rebuilds them (:func:`_corun_request`)."""
+
+    index: int
+    seed: int
+    workload: Tuple[str, ...]
+    scenario: Scenario
+
+
+def _corun_request(config, trace_scale, traces, profile, cycle_budget,
+                   index, seed, workload, scenario) -> RunRequest:
+    """A :class:`CoRun`'s request, built in whichever process runs it;
+    ``traces`` is that process's cache of base traces."""
+    return RunRequest.workload(
+        build_workload_traces(workload, trace_scale, traces), config,
+        scenario, seed, index=index, profile=profile, cycle_budget=cycle_budget,
     )
-    requests = [
-        template.with_run(index, seed) for index, seed in enumerate(rep_seeds)
-    ]
-    outcomes = table.backend.execute(requests, observer=table.observer)
-    failures = [
-        (outcome.index, outcome.seed, outcome.error or "", outcome.error_kind)
-        for outcome in outcomes
-        if outcome.failed
-    ]
-    if failures:
-        raise CampaignRunError(label, scenario.label(), failures)
-    return [outcome.result.total_ipc for outcome in outcomes]
+
+
+def _corun_backend(table: "PWCETTable", coruns: int) -> ExecutionBackend:
+    """The table's own backend if one was given; else every usable CPU
+    when there is more than one CPU and more than one co-run (the
+    analysis ``auto`` policy's rule), else in-process."""
+    if table._backend_given or coruns <= 1 or usable_cpus() <= 1:
+        return table.backend
+    return ProcessPoolBackend(workers=usable_cpus())
+
+
+def _deployment_ipcs(
+    table: "PWCETTable", coruns: Sequence[CoRun], reps: int
+) -> List[float]:
+    """Run every co-run as one batch; mean IPC per ``reps`` co-runs."""
+    build = partial(_corun_request, table.config, table.scale.trace_scale,
+                    dict(table.traces), table.profile, table.cycle_budget)
+    backend = _corun_backend(table, len(coruns))
+    table.observer.on_message(
+        f"deployment batch: {len(coruns)} co-runs on {backend.name}"
+    )
+    outcomes = backend.execute_jobs(coruns, build, table.observer)
+    means = []
+    for start in range(0, len(outcomes), reps):
+        group = outcomes[start:start + reps]
+        failures = [
+            (outcome.index, outcome.seed, outcome.error or "",
+             outcome.error_kind)
+            for outcome in group if outcome.failed
+        ]
+        if failures:
+            job = coruns[start]
+            raise CampaignRunError(
+                "+".join(job.workload), job.scenario.label(), failures
+            )
+        samples = [outcome.result.total_ipc for outcome in group]
+        means.append(sum(samples) / len(samples))
+    return means
 
 
 @dataclass(frozen=True)
@@ -492,41 +527,24 @@ def run_fig4(
     def pwcet_of_mid(bench: str, mid: int) -> float:
         return table.pwcet(bench, "efl", mid)
 
-    trace_cache: dict = {}
+    if measure_average and table.engine == "kernel":
+        raise ConfigurationError(
+            "the kernel engine only vectorises analysis-mode "
+            "isolation campaigns; deployment co-runs interleave cores "
+            "dynamically and need the scalar interpreter (use "
+            "engine='auto' or 'scalar' for deployment experiments)"
+        )
+    # Selection pass: the best CP partition and EFL MID per workload,
+    # and, with measure_average, its co-runs queued in batch order
+    # (workload by workload, CP then EFL, deployment_reps each).
     comparisons: List[WorkloadComparison] = []
+    coruns: List[CoRun] = []
     deployment_seeds = derive_seeds(workload_seed ^ 0x5EED, len(workloads))
     for index, workload in enumerate(workloads):
         counts, cp_wgipc = best_partition(
             workload, instructions_of, pwcet_of_ways, config.llc_ways, ways
         )
         mid, efl_wgipc = best_mid(workload, instructions_of, pwcet_of_mid, mids)
-        wg_improvement = improvement(efl_wgipc, cp_wgipc)
-
-        cp_waipc = efl_waipc = wa_improvement = None
-        if measure_average:
-            label = "+".join(workload)
-            table.observer.on_message(
-                f"deployment workload {index + 1}/{len(workloads)}: "
-                f"{label} (CP{counts} vs EFL{mid})"
-            )
-            traces = build_workload_traces(
-                workload, scale.trace_scale, trace_cache
-            )
-            rep_seeds = derive_seeds(deployment_seeds[index], scale.deployment_reps)
-            cp_scenario = Scenario.cache_partitioning(
-                counts, num_cores=config.num_cores, mode=OperationMode.DEPLOYMENT
-            )
-            efl_scenario = Scenario.efl(mid, mode=OperationMode.DEPLOYMENT)
-            cp_samples = _deployment_samples(
-                table, traces, cp_scenario, rep_seeds, label
-            )
-            efl_samples = _deployment_samples(
-                table, traces, efl_scenario, rep_seeds, label
-            )
-            cp_waipc = sum(cp_samples) / len(cp_samples)
-            efl_waipc = sum(efl_samples) / len(efl_samples)
-            wa_improvement = improvement(efl_waipc, cp_waipc)
-
         comparisons.append(
             WorkloadComparison(
                 workload=workload,
@@ -534,12 +552,40 @@ def run_fig4(
                 cp_wgipc=cp_wgipc,
                 efl_mid=mid,
                 efl_wgipc=efl_wgipc,
-                wgipc_improvement=wg_improvement,
-                cp_waipc=cp_waipc,
-                efl_waipc=efl_waipc,
-                waipc_improvement=wa_improvement,
+                wgipc_improvement=improvement(efl_wgipc, cp_wgipc),
             )
         )
+        if measure_average:
+            table.observer.on_message(
+                f"deployment workload {index + 1}/{len(workloads)}: "
+                f"{'+'.join(workload)} (CP{counts} vs EFL{mid})"
+            )
+            rep_seeds = derive_seeds(deployment_seeds[index], scale.deployment_reps)
+            for scenario in (
+                Scenario.cache_partitioning(
+                    counts, num_cores=config.num_cores,
+                    mode=OperationMode.DEPLOYMENT,
+                ),
+                Scenario.efl(mid, mode=OperationMode.DEPLOYMENT),
+            ):
+                coruns.extend(
+                    CoRun(rep, seed, workload, scenario)
+                    for rep, seed in enumerate(rep_seeds)
+                )
+
+    if coruns:
+        ipcs = _deployment_ipcs(table, coruns, scale.deployment_reps)
+        comparisons = [
+            replace(
+                comparison,
+                cp_waipc=cp_waipc,
+                efl_waipc=efl_waipc,
+                waipc_improvement=improvement(efl_waipc, cp_waipc),
+            )
+            for comparison, cp_waipc, efl_waipc in zip(
+                comparisons, ipcs[0::2], ipcs[1::2]
+            )
+        ]
 
     wg_summary = summarise_improvements(
         [c.wgipc_improvement for c in comparisons]

@@ -12,7 +12,9 @@ Every command accepts ``--scale {tiny,quick,default,paper}`` and
 ``--seed`` for reproducibility, plus ``--backend {serial,process}``
 and ``--workers N`` to fan simulation runs out over worker processes
 (results are bit-identical across backends — seeds are derived per
-run, not per worker); results print as plain-text tables.
+run, not per worker); results print as plain-text tables.  Without
+``--backend``, Figure 4's deployment co-runs run as one batch over
+every usable CPU; ``--backend serial`` keeps them in-process.
 ``--engine {auto,scalar,kernel}`` picks the run interpreter for
 analysis campaigns: ``auto`` (default) compiles eligible campaigns
 onto the kernel engine — sharding the lanes over worker processes
@@ -219,7 +221,8 @@ def _build_table(args: argparse.Namespace) -> PWCETTable:
         config=scale.system_config(),
         scale=scale,
         seed=args.seed,
-        backend=make_backend(
+        # None leaves Figure 4's co-run batch to the table's policy.
+        backend=args.backend and make_backend(
             args.backend, pool_workers, run_timeout_s=args.run_timeout
         ),
         observer=observer,
@@ -537,12 +540,14 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
         "--backend",
-        default="serial",
+        default=None,
         choices=BACKEND_NAMES,
         help=(
             "execution backend for the simulation runs: 'serial' "
             "(in-process) or 'process' (multiprocessing fan-out); "
-            "results are bit-identical either way (default: serial)"
+            "results are bit-identical either way (default: analysis "
+            "campaigns in-process, Figure 4's deployment co-runs as one "
+            "batch over every usable CPU)"
         ),
     )
     parser.add_argument(
@@ -916,7 +921,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{args.runs}: an adaptive job's run budget is its "
             f"max_runs; pass just one of the two"
         )
-    if args.command in ("submit", "serve") and args.backend != "serial":
+    if args.command in ("submit", "serve") and args.backend == "process":
         raise ConfigurationError(
             f"{args.command} runs through the service's engine selection "
             f"and takes no --backend; use --engine/--workers to pick the "

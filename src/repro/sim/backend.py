@@ -10,9 +10,12 @@ touching simulation semantics:
 * :class:`ProcessPoolBackend` fans requests out over a
   ``multiprocessing`` pool with chunked dispatch.  Workers are
   bootstrapped once with the campaign's shared trace/config template,
-  so per-run messages carry only an ``(index, seed)`` pair; per-run
-  exceptions are captured into the :class:`RunOutcome` instead of
-  killing the pool, so one bad seed cannot abort a 1000-run campaign;
+  so per-run messages carry only an ``(index, seed)`` pair;
+  heterogeneous batches (Figure 4's deployment co-runs) ship a small
+  job spec per run instead (:meth:`ProcessPoolBackend.execute_jobs`).
+  Per-run exceptions are captured into the :class:`RunOutcome`
+  instead of killing the pool, so one bad seed cannot abort a
+  1000-run campaign;
 * :class:`~repro.sim.batch.BatchBackend` (in :mod:`repro.sim.batch`)
   exploits the same property *within* one process: homogeneous
   analysis-mode campaigns run as lock-step NumPy lanes on the kernel
@@ -57,13 +60,14 @@ change ``execution_times``: retries re-execute pure functions of
 from __future__ import annotations
 
 import contextlib
+import itertools
 import multiprocessing
 import os
 import time
 import traceback
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ERROR_KIND_DETERMINISTIC,
@@ -486,7 +490,8 @@ class ExecutionBackend:
     ``execute`` runs every request and returns one :class:`RunOutcome`
     per request, **in request (index) order**, regardless of the order
     in which runs physically completed.  Implementations must capture
-    per-run exceptions into the outcome rather than propagate them.
+    per-run exceptions into the outcome rather than propagate them,
+    and accept a one-pass iterable of requests.
     """
 
     #: Short label recorded on CampaignResult (e.g. ``"serial"``).
@@ -502,11 +507,23 @@ class ExecutionBackend:
 
     def execute(
         self,
-        requests: Sequence[RunRequest],
+        requests: Iterable[RunRequest],
         observer: Optional[RunObserver] = None,
     ) -> List[RunOutcome]:
         """Execute ``requests``; one outcome per request, index order."""
         raise NotImplementedError
+
+    def execute_jobs(
+        self,
+        jobs: Sequence[tuple],
+        build: Callable[..., RunRequest],
+        observer: Optional[RunObserver] = None,
+    ) -> List[RunOutcome]:
+        """Execute a heterogeneous batch of ``(index, seed, *spec)`` job
+        tuples, ``build(*job)`` being a job's request; outcomes return
+        in job order.  Requests are built one at a time as ``execute``
+        consumes them."""
+        return self.execute(itertools.starmap(build, jobs), observer)
 
 
 # In-process fault-injection hook (see repro.sim.faults).  ``None``
@@ -613,7 +630,7 @@ class SerialBackend(ExecutionBackend):
 
     def execute(
         self,
-        requests: Sequence[RunRequest],
+        requests: Iterable[RunRequest],
         observer: Optional[RunObserver] = None,
     ) -> List[RunOutcome]:
         max_attempts = self.retry.max_attempts if self.retry else 1
@@ -637,27 +654,25 @@ class SerialBackend(ExecutionBackend):
         return outcomes
 
 
-# Worker-side state of ProcessPoolBackend: the shared template request
-# (traces/config/scenario), shipped once per worker at bootstrap so the
-# per-job messages are just (index, seed, attempt) triples.
-_WORKER_TEMPLATE: Optional[RunRequest] = None
+# Worker-side state of ProcessPoolBackend: the callable that turns a
+# job's ``(index, seed, *spec)`` into its RunRequest (a campaign
+# template's ``with_run``), shipped once per worker at bootstrap so the
+# per-job messages stay small.
+_WORKER_BUILD: Optional[Callable[..., RunRequest]] = None
 
 
-def _bootstrap_worker(template: RunRequest, fault_plan=None) -> None:
-    global _WORKER_TEMPLATE, _FAULT_PLAN, _IN_WORKER
-    _WORKER_TEMPLATE = template
+def _bootstrap_worker(build: Callable[..., RunRequest], fault_plan=None) -> None:
+    global _WORKER_BUILD, _FAULT_PLAN, _IN_WORKER
+    _WORKER_BUILD = build
     _FAULT_PLAN = fault_plan
     _IN_WORKER = True
 
 
-def _run_chunk(triples: Sequence[tuple]) -> List[RunOutcome]:
-    template = _WORKER_TEMPLATE
-    if template is None:  # pragma: no cover — would be a harness bug
+def _run_chunk(messages: Sequence[tuple]) -> List[RunOutcome]:
+    build = _WORKER_BUILD
+    if build is None:  # pragma: no cover — would be a harness bug
         raise RuntimeError("worker used before bootstrap")
-    return [
-        _run_one(template.with_run(index, seed), attempt)
-        for index, seed, attempt in triples
-    ]
+    return [_run_one(build(*job), attempt) for *job, attempt in messages]
 
 
 def _notify(observer: Optional[RunObserver], outcome: RunOutcome) -> None:
@@ -695,13 +710,13 @@ class ProcessPoolBackend(ExecutionBackend):
     """Multiprocessing fan-out with chunked dispatch and crash recovery.
 
     Work is dispatched in *waves*: every wave ships the still-unfinished
-    ``(index, seed, attempt)`` triples to a fresh pool, collects what
-    comes back, and classifies the rest.  A hard worker death (OOM,
-    SIGKILL, ``os._exit``) is detected through the dead process's exit
-    code; the pool is torn down once it goes quiet and the lost runs
-    are re-dispatched in the next wave under ``retry``.  A hung worker
-    is detected by the optional progress watchdog (``run_timeout_s``)
-    and handled the same way.  Completed outcomes are never discarded
+    ``(index, seed, ..., attempt)`` job messages to a fresh pool,
+    collects what comes back, and classifies the rest.  A hard worker
+    death (OOM, SIGKILL, ``os._exit``) is detected through the dead
+    process's exit code; the pool is torn down once it goes quiet and
+    the lost runs are re-dispatched in the next wave under ``retry``.
+    A hung worker is detected by the optional progress watchdog
+    (``run_timeout_s``) and handled the same way.  Completed outcomes are never discarded
     across waves, and re-executing a run is bit-identical by
     construction, so recovery cannot change the sample.
 
@@ -710,7 +725,7 @@ class ProcessPoolBackend(ExecutionBackend):
     workers:
         Worker process count; defaults to the machine's CPU count.
     chunk_size:
-        ``(index, seed, attempt)`` triples per dispatched chunk.
+        Job messages per dispatched chunk.
         Defaults to an even split over ``4 * workers`` chunks — small
         enough to load balance, large enough to amortise IPC.  Smaller
         chunks also shrink the blast radius of a worker crash (a lost
@@ -797,29 +812,58 @@ class ProcessPoolBackend(ExecutionBackend):
         requests: Sequence[RunRequest],
         observer: Optional[RunObserver] = None,
     ) -> List[RunOutcome]:
+        requests = list(requests)
         if not requests:
             return []
-        template = requests[0]
-        template_key = template.template_key()
+        template_key = requests[0].template_key()
         for request in requests[1:]:
             if request.template_key() != template_key:
                 raise ConfigurationError(
-                    "ProcessPoolBackend requires a homogeneous batch: all "
-                    "requests must share traces/config/scenario and differ "
-                    "only in (index, seed); split heterogeneous work into "
-                    "one execute() call per template"
+                    "ProcessPoolBackend.execute requires a homogeneous "
+                    "batch: all requests must share traces/config/scenario "
+                    "and differ only in (index, seed); ship heterogeneous "
+                    "work as job tuples through execute_jobs()"
                 )
+        # The shared template ships once per worker; jobs are pairs.
+        return self.execute_jobs(
+            [(request.index, request.seed) for request in requests],
+            requests[0].with_run, observer,
+        )
+
+    def execute_jobs(
+        self,
+        jobs: Sequence[tuple],
+        build: Callable[..., RunRequest],
+        observer: Optional[RunObserver] = None,
+    ) -> List[RunOutcome]:
+        """Execute a heterogeneous batch shipped as small job tuples.
+
+        Jobs must pickle, and a worker builds each job's request:
+        ``build`` travels once per worker at pool bootstrap, so no trace
+        is pickled per job and no process holds every request at once.
+        """
+        if not jobs:
+            return []
         self._degrade_warned = False  # new campaign: the advisory may fire once
-        if len(requests) == 1 or self.workers == 1 or self._degrades(requests,
-                                                                     observer):
+        if len(jobs) == 1 or self.workers == 1 or self._degrades(jobs,
+                                                                 observer):
             # Not worth a pool; semantics are identical by construction.
-            serial = SerialBackend(retry=self.retry)
-            if self.fault_plan is not None:
-                with installed_fault_plan(self.fault_plan):
-                    return serial.execute(requests, observer)
+            return self._execute_serial(itertools.starmap(build, jobs),
+                                        observer)
+        return self._execute_waves((_bootstrap_worker, (build, self.fault_plan)),
+                                   _run_chunk, jobs, observer)
+
+    def _execute_serial(
+        self,
+        requests: Iterable[RunRequest],
+        observer: Optional[RunObserver],
+    ) -> List[RunOutcome]:
+        """In-process execution under this backend's retry and fault plan."""
+        serial = SerialBackend(retry=self.retry)
+        if self.fault_plan is None:
             return serial.execute(requests, observer)
-        context = multiprocessing.get_context(self.mp_context)
-        return self._execute_waves(context, template, requests, observer)
+        with installed_fault_plan(self.fault_plan):
+            return serial.execute(requests, observer)
 
     def _degrades(
         self,
@@ -855,40 +899,50 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _execute_waves(
         self,
-        context,
-        template: RunRequest,
-        requests: Sequence[RunRequest],
+        bootstrap: Tuple[Callable, tuple],
+        runner: Callable,
+        jobs: Sequence[tuple],
         observer: Optional[RunObserver],
     ) -> List[RunOutcome]:
-        """Wave loop: dispatch, validate, retry transients, finalise."""
-        # index -> (index, seed, attempt) of every not-yet-final run.
-        pending: Dict[int, Tuple[int, int, int]] = {
-            request.index: (request.index, request.seed, 1)
-            for request in requests
-        }
+        """Wave loop: dispatch, validate, retry transients, finalise.
+
+        A job is ``(index, seed, *spec)``; ``runner`` receives it with
+        the attempt number appended, in a worker set up by
+        ``bootstrap`` (an ``(initializer, initargs)`` pair).  Runs are
+        keyed by their position in ``jobs``, since a heterogeneous
+        batch may repeat an ``index``; outcomes return in job order.
+        """
+        context = multiprocessing.get_context(self.mp_context)
+        # position -> attempt of every not-yet-final run.
+        pending: Dict[int, int] = dict.fromkeys(range(len(jobs)), 1)
         final: Dict[int, RunOutcome] = {}
         telemetry = current_telemetry()
         wave = 0
         while pending:
             wave += 1
-            jobs = sorted(pending.values())
+            dispatched = sorted(pending.items())
+            messages = [
+                (position, tuple(jobs[position]) + (attempt,))
+                for position, attempt in dispatched
+            ]
             if telemetry is not None:
                 wave_started = time.monotonic()
                 with telemetry.tracer.span(
-                    "wave", wave=wave, runs=len(jobs), backend=self.name
+                    "wave", wave=wave, runs=len(messages), backend=self.name
                 ):
                     returned, reason = self._run_wave(
-                        context, template, jobs, observer
+                        context, bootstrap, runner, messages, observer
                     )
                 telemetry.metrics.counter("waves_dispatched").inc()
                 telemetry.metrics.histogram("wave_latency_s").observe(
                     time.monotonic() - wave_started
                 )
             else:
-                returned, reason = self._run_wave(context, template, jobs,
-                                                  observer)
-            for index, seed, attempt in jobs:
-                outcome = returned.get(index)
+                returned, reason = self._run_wave(context, bootstrap, runner,
+                                                  messages, observer)
+            for position, attempt in dispatched:
+                index, seed = jobs[position][:2]
+                outcome = returned.get(position)
                 if outcome is None:
                     outcome = _lost_outcome(
                         index, seed, attempt, reason, self.run_timeout_s
@@ -898,36 +952,25 @@ class ProcessPoolBackend(ExecutionBackend):
                     if observer is not None:
                         observer.on_retry(index, seed, attempt,
                                           outcome.error or "")
-                    pending[index] = (index, seed, attempt + 1)
+                    pending[position] = attempt + 1
                 else:
-                    del pending[index]
-                    final[index] = outcome
+                    del pending[position]
+                    final[position] = outcome
                     _notify(observer, outcome)
             if pending:
                 self.retry.wait(wave)
-        return [final[index] for index in sorted(final)]
-
-    def _pool_initializer(self, template: RunRequest) -> Tuple[Callable, tuple]:
-        """Worker bootstrap ``(initializer, initargs)`` for one wave.
-
-        Subclasses (the sharded kernel backend) substitute their own
-        bootstrap to ship a shared-memory plan handle instead of the
-        pickled template.
-        """
-        return _bootstrap_worker, (template, self.fault_plan)
-
-    def _runner(self) -> Callable:
-        """The chunk-execution function dispatched to workers."""
-        return _run_chunk
+        return [final[position] for position in range(len(jobs))]
 
     def _run_wave(
         self,
         context,
-        template: RunRequest,
-        jobs: List[tuple],
+        bootstrap: Tuple[Callable, tuple],
+        runner: Callable,
+        messages: List[Tuple[int, tuple]],
         observer: Optional[RunObserver],
     ) -> Tuple[Dict[int, RunOutcome], Optional[str]]:
-        """One dispatch wave: returns collected outcomes + loss reason.
+        """One dispatch wave over ``(position, message)`` pairs: returns
+        the collected outcomes by position, plus the loss reason.
 
         ``reason`` is ``None`` when every chunk answered, ``"crash"``
         when a worker died hard, ``"timeout"`` when the progress
@@ -935,18 +978,20 @@ class ProcessPoolBackend(ExecutionBackend):
         the way out — including on ``KeyboardInterrupt``, so Ctrl-C on
         a long campaign cannot leak worker processes.
         """
-        chunks = self._chunks(jobs)
+        chunks = self._chunks(messages)
         returned: Dict[int, RunOutcome] = {}
         reason: Optional[str] = None
-        initializer, initargs = self._pool_initializer(template)
-        runner = self._runner()
+        initializer, initargs = bootstrap
         pool = context.Pool(
-            processes=min(self.workers, len(jobs)),
+            processes=min(self.workers, len(messages)),
             initializer=initializer,
             initargs=initargs,
         )
         try:
-            handles = [pool.apply_async(runner, (chunk,)) for chunk in chunks]
+            handles = [
+                pool.apply_async(runner, ([message for _, message in chunk],))
+                for chunk in chunks
+            ]
             pool.close()
             # Snapshot the worker processes: mp.Pool silently replaces a
             # dead worker, but the dead Process object keeps its exit
@@ -964,8 +1009,10 @@ class ProcessPoolBackend(ExecutionBackend):
                     outstanding.discard(handle_id)
                     progressed = True
                     try:
-                        for outcome in handle.get():
-                            returned[outcome.index] = outcome
+                        # A runner answers its chunk's messages in order.
+                        for (position, _message), outcome in zip(
+                                chunks[handle_id], handle.get()):
+                            returned[position] = outcome
                     except Exception:  # noqa: BLE001 — chunk-level loss
                         # The chunk raised instead of answering (e.g.
                         # its result did not survive the transfer); its

@@ -15,10 +15,9 @@ anything the kernel cannot reproduce exactly ineligible up front
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import traceback
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError, classify_exception
 from repro.observability import current_telemetry
@@ -30,7 +29,6 @@ from repro.sim.backend import (
     RunOutcome,
     SerialBackend,
     _notify,
-    installed_fault_plan,
     usable_cpus,
 )
 from repro.sim.kernels import KernelTemplatePlan
@@ -364,21 +362,10 @@ class ShardedBatchBackend(ProcessPoolBackend):
         )
         self.max_lanes = max_lanes
         self.name = f"sharded[{workers}]"
-        self._shard_template: Optional[_ShardHandle] = None
 
-    # -- wave-dispatch hooks -------------------------------------------
     def _chunks(self, jobs: List[tuple]) -> List[List[tuple]]:
         return shard_lanes(jobs, self.workers, self.max_lanes)
 
-    def _pool_initializer(self, template: RunRequest) -> Tuple[Callable, tuple]:
-        if self._shard_template is None:  # pragma: no cover — harness bug
-            raise RuntimeError("sharded dispatch without a shared plan")
-        return _bootstrap_shard_worker, (self._shard_template, self.fault_plan)
-
-    def _runner(self) -> Callable:
-        return _run_shard
-
-    # -- entry ---------------------------------------------------------
     def _delegate_scalar(
         self,
         requests: Sequence[RunRequest],
@@ -390,11 +377,7 @@ class ShardedBatchBackend(ProcessPoolBackend):
                 f"sharded kernel engine unavailable ({reason}); "
                 f"falling back to the serial backend"
             )
-        serial = SerialBackend(retry=self.retry)
-        if self.fault_plan is not None:
-            with installed_fault_plan(self.fault_plan):
-                return serial.execute(requests, observer)
-        return serial.execute(requests, observer)
+        return self._execute_serial(requests, observer)
 
     def execute(
         self,
@@ -424,9 +407,7 @@ class ShardedBatchBackend(ProcessPoolBackend):
             # plan in-process (chaos plans stay per-run serial, as the
             # kernel engine requires).
             if self.fault_plan is not None:
-                serial = SerialBackend(retry=self.retry)
-                with installed_fault_plan(self.fault_plan):
-                    return serial.execute(requests, observer)
+                return self._execute_serial(requests, observer)
             inner = BatchBackend(
                 fallback=SerialBackend(retry=self.retry),
                 strict=self.strict,
@@ -435,15 +416,18 @@ class ShardedBatchBackend(ProcessPoolBackend):
             )
             return inner._run_plan(plan, requests, observer)
         shared = SharedProgram.create(plan.program)
-        self._shard_template = _ShardHandle(
+        handle = _ShardHandle(
             config=requests[0].config,
             scenario=requests[0].scenario,
             core_id=requests[0].core_id,
             program=shared.handle,
         )
-        context = multiprocessing.get_context(self.mp_context)
         try:
-            return self._execute_waves(context, requests[0], requests, observer)
+            return self._execute_waves(
+                (_bootstrap_shard_worker, (handle, self.fault_plan)),
+                _run_shard,
+                [(request.index, request.seed) for request in requests],
+                observer,
+            )
         finally:
-            self._shard_template = None
             shared.dispose()

@@ -44,9 +44,10 @@ functions and the final sample stays bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.backend import (
@@ -315,20 +316,30 @@ class FaultInjectingBackend(ExecutionBackend):
         self.plan = plan
         self.name = f"faulty[{inner.name}]"
 
+    @contextlib.contextmanager
+    def _armed(self) -> Iterator[None]:
+        inner = self.inner
+        if not hasattr(inner, "fault_plan"):
+            with installed_fault_plan(self.plan):
+                yield
+            return
+        # Process pool: the plan must travel to the workers, which
+        # happens at pool bootstrap — install it on the backend.
+        previous = inner.fault_plan
+        inner.fault_plan = self.plan
+        try:
+            yield
+        finally:
+            inner.fault_plan = previous
+
     def execute(
         self,
         requests,
         observer: Optional[RunObserver] = None,
     ) -> "list[RunOutcome]":
-        inner = self.inner
-        if hasattr(inner, "fault_plan"):
-            # Process pool: the plan must travel to the workers, which
-            # happens at pool bootstrap — install it on the backend.
-            previous = inner.fault_plan
-            inner.fault_plan = self.plan
-            try:
-                return inner.execute(requests, observer=observer)
-            finally:
-                inner.fault_plan = previous
-        with installed_fault_plan(self.plan):
-            return inner.execute(requests, observer=observer)
+        with self._armed():
+            return self.inner.execute(requests, observer=observer)
+
+    def execute_jobs(self, jobs, build, observer=None) -> "list[RunOutcome]":
+        with self._armed():
+            return self.inner.execute_jobs(jobs, build, observer)

@@ -155,10 +155,11 @@ class ExperimentScale:
         """Benchmark-harness scale (1/4 platform).
 
         On a 2-CPU x86 host (Python 3.11), perfbench measures about
-        10 s for the E1 table (``iid-default``) and about 14 s for
-        Figure 4's 128 deployment co-runs once its campaigns are
-        journalled (``fig4-deploy-default``, median of 5 runs on a
-        shared host; 13-15 s).
+        10 s for the E1 table (``iid-default``) and about 9 s for
+        Figure 4 once its campaigns are journalled
+        (``fig4-deploy-default``: its 128 deployment co-runs run as one
+        batch over both usable CPUs; median of 11 runs on a shared
+        host, 7.9-10.3 s, against 15 s with the co-runs in one process).
         """
         return cls("default", platform_factor=0.25, trace_scale=0.25,
                    l1_size=1024, llc_size=16384, mid_options=PAPER_MIDS,

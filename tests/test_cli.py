@@ -18,7 +18,7 @@ class TestParser:
         assert args.scale == "quick"
         assert args.seed == 0
         assert args.verbose is False
-        assert args.backend == "serial"
+        assert args.backend is None  # the table's own co-run policy
         assert args.workers is None
 
     def test_backend_options(self):
@@ -89,6 +89,66 @@ class TestScaledPlatform:
         args = make_parser().parse_args(["--scale", scale, "iid"])
         table = _build_table(args)
         assert table.config == ExperimentScale.from_name(scale).system_config()
+
+
+class TestCoRunBackend:
+    """Which backend runs Figure 4's deployment co-run batch."""
+
+    def _backend(self, argv, monkeypatch, cpus=2):
+        from repro.analysis import experiments
+
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+        table = _build_table(make_parser().parse_args(argv + ["fig4"]))
+        return experiments._corun_backend(table, coruns=16)
+
+    def test_default_uses_every_usable_cpu(self, monkeypatch):
+        from repro.sim.backend import ProcessPoolBackend
+
+        backend = self._backend(["--scale", "tiny"], monkeypatch, cpus=3)
+        assert isinstance(backend, ProcessPoolBackend)
+        assert backend.workers == 3
+
+    def test_default_on_one_cpu_stays_in_process(self, monkeypatch):
+        from repro.sim.backend import SerialBackend
+
+        backend = self._backend(["--scale", "tiny"], monkeypatch, cpus=1)
+        assert isinstance(backend, SerialBackend)
+
+    def test_serial_backend_forces_in_process(self, monkeypatch):
+        from repro.sim.backend import SerialBackend
+
+        backend = self._backend(["--scale", "tiny", "--backend", "serial"],
+                                monkeypatch)
+        assert isinstance(backend, SerialBackend)
+
+    def test_process_backend_uses_the_given_workers(self, monkeypatch):
+        from repro.sim.backend import ProcessPoolBackend
+
+        backend = self._backend(
+            ["--scale", "tiny", "--backend", "process", "--workers", "3"],
+            monkeypatch,
+        )
+        assert isinstance(backend, ProcessPoolBackend)
+        assert backend.workers == 3
+
+    def test_default_prints_the_serial_figure(self, tmp_path, capsys,
+                                              monkeypatch):
+        from repro.analysis import experiments
+
+        # The serial run journals every campaign; the default run resumes
+        # them and differs only in where its co-runs execute.
+        ckpt = str(tmp_path / "journals")
+        code = main(["--scale", "tiny", "--seed", "3", "--backend", "serial",
+                     "--checkpoint-dir", ckpt, "fig4"])
+        assert code == 0
+        serial_out = capsys.readouterr().out
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        code = main(["--scale", "tiny", "--seed", "3", "--checkpoint-dir",
+                     ckpt, "--resume", "--verbose", "fig4"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "deployment batch: 16 co-runs on process[2]" in captured.err
+        assert captured.out == serial_out
 
 
 class TestExecution:
